@@ -14,15 +14,17 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import chain, dynamics, harness
 
 _MODEL = {"geom": "geometric", "nongeom": "nongeometric"}
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("FROGSIM_SEED", "0"))
+    text = os.environ.get("FROGSIM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"FROGSIM_SEED must be an integer, got {text!r}") from None
 
 
 def _g17(x: float) -> str:
@@ -101,6 +103,9 @@ def cmd_limits(args) -> int:
     return 0
 
 
+_CONFIG_KEYS = ("kind", "model", "p", "n", "tmax", "reps", "seed")
+
+
 def _parse_config_file(path: str) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -111,7 +116,10 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} in {path}")
+            values[key] = val.strip()
     return values
 
 
@@ -212,19 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "tmax", None) is None and args.command == "det" and args.until_alpha is None:
-        print("det: one of --tmax or --until-alpha is required", file=sys.stderr)
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
+        if args.command == "det" and args.tmax is None and args.until_alpha is None:
+            print("det: one of --tmax or --until-alpha is required", file=sys.stderr)
+            return 2
         return args.func(args)
-    except (ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-GEOMETRIC = "geometric"
-NONGEOMETRIC = "nongeometric"
+from .chain import GEOMETRIC, NONGEOMETRIC
 
 DEFAULT_ALPHA_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**7

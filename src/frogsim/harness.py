@@ -3,7 +3,7 @@
 Experiment kinds:
   lln     sup-over-time max-norm deviation between scaled chain and orbit
   final   final unvisited fraction and absorption time
-  phase   mean visited fraction across a p grid (geometric)
+  phase   mean visited fraction across a p grid (geometric), runs capped
   moments Monte Carlo one-step moments vs the analytic oracles (z-scores)
   fig1    closed-form limit curve p -> iota_infinity(p)
   fig3    nongeometric long-run unvisited fraction vs N
@@ -31,6 +31,8 @@ VERSION = "frogsim-0.1.0"
 
 KINDS = ("lln", "final", "phase", "moments", "fig1", "fig3", "peak")
 
+_VAR_BATCHES = 200  # batches in the moment audit's variance standard error
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -50,6 +52,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.kind in ("lln", "final", "phase") and self.replications < 2:
+            raise ValueError(f"{self.kind} needs replications >= 2 for its sd")
+        if self.kind == "moments" and self.replications < 2 * _VAR_BATCHES:
+            raise ValueError(
+                f"moments needs replications >= {2 * _VAR_BATCHES} "
+                f"(2 draws per variance batch), got {self.replications}"
+            )
         if any(n < 3 for n in self.n_values):
             raise ValueError("all n values must be >= 3")
         if any(not 0.0 <= p <= 1.0 for p in self.p_values):
@@ -91,12 +100,6 @@ def summary_to_json(summary: RunSummary) -> str:
         "metadata": summary.metadata,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_summary(summary: RunSummary, path, fmt: str) -> None:
-    text = summary_to_csv(summary) if fmt == "csv" else summary_to_json(summary)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -213,7 +216,10 @@ def final_fraction_experiment(cfg: ExperimentConfig) -> RunSummary:
 
 
 def phase_sweep(cfg: ExperimentConfig) -> RunSummary:
-    """Mean final visited fraction across the p grid (geometric model)."""
+    """Mean final visited fraction across the p grid (geometric model).
+
+    `capped` counts the runs that hit the step cap before absorbing.
+    """
     if cfg.kind != "phase":
         raise ValueError("config kind must be 'phase'")
     if cfg.model != chain.GEOMETRIC:
@@ -225,12 +231,17 @@ def phase_sweep(cfg: ExperimentConfig) -> RunSummary:
     for cell, p in enumerate(cfg.p_values):
         params = _params(cfg, n, p)
         visited = np.empty(cfg.replications)
+        capped = 0
         for rep in range(cfg.replications):
             rng = _cell_rng(cfg, cell, rep)
-            final, _absorbed = chain.run_to_absorption(params, cap, rng)
+            final, absorbed = chain.run_to_absorption(params, cap, rng)
+            if not absorbed:
+                capped += 1
             visited[rep] = (n + 1 - final.unvisited) / (n + 1)
-        rows.append([p, n, cfg.replications, float(visited.mean()), float(visited.std(ddof=1))])
-    cols = ["p", "n", "replications", "mean_visited_frac", "sd_visited_frac"]
+        rows.append(
+            [p, n, cfg.replications, capped, float(visited.mean()), float(visited.std(ddof=1))]
+        )
+    cols = ["p", "n", "replications", "capped", "mean_visited_frac", "sd_visited_frac"]
     return _finish(cfg, cols, rows, t0)
 
 
@@ -256,9 +267,6 @@ def one_step_samples(
     a1 = carrier + i - i1
     d1 = n + 1 - i1 - a1
     return i1, a1, d1
-
-
-_VAR_BATCHES = 200
 
 
 def _batched_variance(x: np.ndarray) -> tuple[float, float]:

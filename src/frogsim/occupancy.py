@@ -4,7 +4,13 @@ EmpBox(b, c) is the law of the number of empty boxes after b balls are
 thrown independently and uniformly into c boxes.  The exact pmf uses the
 alternating inclusion-exclusion sum, which cancels catastrophically for
 large c, so it is hard-capped at EXACT_PMF_CAP boxes; at scale callers
-must use the samplers instead.
+must use the sampler instead.
+
+The sampler is exact: `sample_empbox` (one draw) and `sample_empbox_batch`
+(many) throw the balls with one ``rng.integers`` call and count each draw's
+distinct boxes in an occupancy mask at one ball per eight boxes or more,
+and by sorting the balls below that.  Memory is O(balls), and the choice
+never touches the random stream, so seeded outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ def empbox_pmf(spec: OccupancySpec) -> np.ndarray:
     floating point already for moderate c, so the terms are accumulated
     in exact rational arithmetic and rounded once at the end; the box
     count is capped because the cost grows with c (and at scale only the
-    samplers are needed anyway).
+    sampler is needed anyway).
     """
     b, c = spec.balls, spec.boxes
     if c > EXACT_PMF_CAP:
@@ -88,35 +94,46 @@ def empbox_variance(spec: OccupancySpec) -> float:
     )
 
 
+def _count_distinct(keys: np.ndarray, draws: int, boxes: int):
+    """Distinct boxes hit by each draw, from int64 keys draw * boxes + box.
+
+    Scatters the keys into a (draws, boxes) occupancy mask when that mask is
+    no larger than the keys themselves (draws * boxes <= 8 * keys.size, that
+    is at least one ball per eight boxes); otherwise sorts the keys in place
+    and counts the first key of each run.  Either way the extra memory is at
+    most about one key per ball.  One draw gives an int, several an array.
+    """
+    if draws * boxes <= 8 * keys.size:
+        mask = np.zeros((draws, boxes), dtype=bool)
+        mask.reshape(-1)[keys] = True
+        return np.count_nonzero(mask) if draws == 1 else mask.sum(axis=1)
+    keys.sort()
+    if draws == 1:
+        return 1 + np.count_nonzero(keys[1:] != keys[:-1])
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    runs = keys[first]
+    runs //= boxes
+    return np.bincount(runs, minlength=draws)
+
+
 def sample_empbox(spec: OccupancySpec, rng: np.random.Generator) -> int:
-    """One exact draw from EmpBox(b, c) by direct ball-throwing, O(b + c)."""
+    """One exact draw from EmpBox(b, c): b uniform boxes, distinct ones counted."""
     b, c = spec.balls, spec.boxes
     if b == 0:
         return c
-    occupied = np.zeros(c, dtype=bool)
-    occupied[rng.integers(0, c, size=b)] = True
-    return int(c - occupied.sum())
-
-
-def sample_empbox_many(spec: OccupancySpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` independent EmpBox(b, c) draws (row-sorted distinct count)."""
-    b, c = spec.balls, spec.boxes
-    if b == 0:
-        return np.full(size, c, dtype=np.int64)
-    draws = np.sort(rng.integers(0, c, size=(size, b)), axis=1)
-    distinct = 1 + (np.diff(draws, axis=1) > 0).sum(axis=1)
-    return c - distinct
+    return c - int(_count_distinct(rng.integers(0, c, size=b), 1, c))
 
 
 def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator) -> np.ndarray:
     """Independent EmpBox(balls[j], boxes) draws sharing one box count.
 
-    Throws all balls at once as keys j * boxes + box, the boxes from one
-    ``rng.integers`` call (the same random stream as the former ``np.unique``
-    count, so seeded outputs are unchanged), then counts the distinct keys
-    of each draw by an in-place sort and a neighbour mask that marks the
-    first key of each run.  O(total log total) time and O(total) int64
-    memory for total = sum(balls); the result has the shape of `balls`.
+    Throws all balls with one ``rng.integers`` call, so the stream is the
+    same as for one draw per row, and offsets draw j's boxes by j * boxes
+    before counting the distinct keys of each draw.  O(total) memory, at
+    most about 16 B per ball at peak, for total = sum(balls); the result has
+    the shape of `balls`.
     """
     balls = np.asarray(balls, dtype=np.int64)
     if boxes < 1:
@@ -125,14 +142,12 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
     total = int(flat.sum())
     if total == 0:
         return np.full(balls.shape, boxes, dtype=np.int64)
-    keys = np.repeat(np.arange(flat.size, dtype=np.int64) * boxes, flat)
-    keys += rng.integers(0, boxes, size=total)
-    keys.sort()
-    first = np.empty(total, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    hit = np.bincount(keys[first] // boxes, minlength=flat.size)
-    return boxes - hit.reshape(balls.shape)
+    keys = rng.integers(0, boxes, size=total)
+    if flat.size > 1:
+        # int32 offsets when they fit: a 4 B rather than 8 B temporary per ball.
+        step = np.int32 if flat.size * boxes < 2**31 else np.int64
+        keys += np.repeat(np.arange(flat.size, dtype=step) * boxes, flat)
+    return boxes - np.reshape(_count_distinct(keys, flat.size, boxes), balls.shape)
 
 
 def sample_binomial(n: int, q: float, rng: np.random.Generator) -> int:

@@ -18,7 +18,7 @@ from frogsim.occupancy import (
     empbox_mean,
     empbox_pmf,
     empbox_variance,
-    sample_empbox_many,
+    sample_empbox_batch,
 )
 from test_occupancy import enumerate_empbox_pmf
 
@@ -60,7 +60,7 @@ def test_criterion_02_sampler_fidelity():
     worst_p = 1.0
     for idx, (b, c) in enumerate(panels):
         rng = np.random.default_rng([101, idx])
-        sample = sample_empbox_many(OccupancySpec(b, c), rng, draws)
+        sample = sample_empbox_batch(np.full(draws, b), c, rng)
         obs = np.bincount(sample, minlength=c + 1)
         exp = empbox_pmf(OccupancySpec(b, c)) * draws
         keep = exp >= 5

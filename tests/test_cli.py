@@ -122,6 +122,11 @@ class TestLimits:
     def test_p_out_of_range_exit_2(self):
         assert run_cli("limits", "--p", "1.5").returncode == 2
 
+    def test_bad_env_seed_exit_2(self):
+        res = run_cli("limits", "--p", "0.8", "--n", "1000", env={"FROGSIM_SEED": "abc"})
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == ["error: FROGSIM_SEED must be an integer, got 'abc'"]
+
 
 class TestExperiment:
     def test_fig1_default_grid_monotone(self, tmp_path):
@@ -171,6 +176,39 @@ class TestExperiment:
         run_cli(*args, "--out", str(a))
         run_cli(*args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind,reps",
+        [("lln", "1"), ("final", "1"), ("phase", "1"), ("moments", "300")],
+    )
+    def test_degenerate_replications_exit_2(self, kind, reps):
+        res = run_cli(
+            "experiment", "--kind", kind, "--model", "geom", "--p", "0.6",
+            "--n", "100", "--tmax", "3", "--reps", reps, "--seed", "1",
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith(f"error: {kind} needs replications >= ")
+
+    def test_phase_reports_capped_runs(self):
+        res = run_cli(
+            "experiment", "--kind", "phase", "--model", "geom", "--p", "1.0",
+            "--n", "20", "--reps", "2", "--seed", "1",
+        )
+        assert res.returncode == 0
+        header, row = res.stdout.splitlines()[2:]
+        assert dict(zip(header.split(","), row.split(",")))["capped"] == "2"
+
+    @pytest.mark.parametrize("key", ["repz", "cap"])
+    def test_config_unknown_key_exit_2(self, tmp_path, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"kind=final\nmodel=geom\np=1.0\nn=50\nreps=3\n{key}=7\n")
+        res = run_cli("experiment", "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert f"unknown config key '{key}'" in res.stderr
 
     def test_jobs_flag_invariant(self):
         args = ["experiment", "--kind", "fig3", "--n", "100", "--seed", "2"]

@@ -33,6 +33,12 @@ class TestConfig:
             ExperimentConfig(kind="lln", p_values=(1.2,))
         with pytest.raises(ValueError):
             ExperimentConfig(kind="lln", replications=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(kind="final", replications=1)
+        with pytest.raises(ValueError):
+            ExperimentConfig(kind="moments", replications=399)
+        ExperimentConfig(kind="moments", replications=400)
+        ExperimentConfig(kind="fig1", replications=1)
 
 
 class TestSerialization:

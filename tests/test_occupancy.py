@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from frogsim.occupancy import (
     sample_binomial,
     sample_empbox,
     sample_empbox_batch,
-    sample_empbox_many,
 )
 
 
@@ -139,7 +139,7 @@ class TestEmpboxSampler:
 
     def test_chi_square_against_pmf(self):
         rng = np.random.default_rng(2)
-        draws = sample_empbox_many(OccupancySpec(4, 3), rng, 10**5)
+        draws = sample_empbox_batch(np.full(10**5, 4), 3, rng)
         obs = np.bincount(draws, minlength=4)
         exp = empbox_pmf(OccupancySpec(4, 3)) * 10**5
         keep = exp > 5
@@ -181,6 +181,66 @@ class TestEmpboxSampler:
             keep = exp > 5
             _, pval = scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())
             assert pval > 0.001
+
+
+def _unique_reference(balls, boxes, seed):
+    """EmpBox draws counted with np.unique over the sampler's own box draws."""
+    flat = np.asarray(balls, dtype=np.int64).ravel()
+    hits = np.random.default_rng(seed).integers(0, boxes, size=int(flat.sum()))
+    parts = np.split(hits, np.cumsum(flat)[:-1])
+    return np.array([boxes - np.unique(x).size for x in parts]).reshape(np.shape(balls))
+
+
+class TestEmpboxCount:
+    """The mask and sort counts both equal np.unique on the same stream."""
+
+    @pytest.mark.parametrize(
+        "balls,boxes,mask",
+        [
+            (np.full(50, 40), 100, True),
+            (np.arange(300) % 5, 1000, False),
+            ([7], 20, True),
+            ([7], 10**4, False),
+            ([[3, 0], [5, 9]], 4, True),
+            ([[3, 0], [5, 9]], 10**3, False),
+            ([5, 0, 4], 2**31, False),
+            ([0, 6, 0, 2], 3, True),
+            (np.zeros(5, dtype=int), 3, True),
+        ],
+    )
+    def test_batch_matches_unique(self, balls, boxes, mask):
+        total = int(np.sum(balls))
+        assert (np.size(balls) * boxes <= 8 * total) == mask or total == 0
+        out = sample_empbox_batch(balls, boxes, np.random.default_rng(11))
+        assert out.shape == np.shape(balls)
+        assert (out == _unique_reference(balls, boxes, 11)).all()
+
+    @pytest.mark.parametrize("b,c", [(7, 20), (7, 10**4), (1, 1), (40, 3), (0, 5)])
+    def test_scalar_matches_unique(self, b, c):
+        rng = np.random.default_rng(12)
+        draws = [sample_empbox(OccupancySpec(b, c), rng) for _ in range(50)]
+        assert all(type(x) is int for x in draws)
+        assert draws == list(_unique_reference(np.full(50, b), c, 12))
+
+    @pytest.mark.parametrize(
+        "draws,boxes,balls",
+        [(2000, 715, 200), (2000, 10**4, 50), (1, 10**7, 10**4)],
+        ids=["mask", "sort", "single-sort"],
+    )
+    def test_peak_memory_per_ball(self, draws, boxes, balls):
+        # At most the int64 keys plus one more word per ball, never O(boxes).
+        counts = np.full(draws, balls)
+        rng = np.random.default_rng(13)
+        tracemalloc.start()
+        try:
+            if draws == 1:
+                sample_empbox(OccupancySpec(balls, boxes), rng)
+            else:
+                sample_empbox_batch(counts, boxes, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * draws * balls
 
 
 class TestBinomialSampler:
