@@ -200,6 +200,9 @@ def scale(state: ChainState, n: int) -> ScaledState:
     return ScaledState(state.unvisited / m, state.active / m, state.dead / m)
 
 
-def replication_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Per-replication stream: Generator seeded by SeedSequence([seed, index])."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, index]))
+def replication_rng(*key: int) -> np.random.Generator:
+    """The stream for a key such as (seed, index) or (seed, cell, rep).
+
+    A Generator seeded by SeedSequence(key); every seeded stream is built here.
+    """
+    return np.random.default_rng(np.random.SeedSequence(key))

@@ -39,32 +39,14 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _trajectory_text(states: list[chain.ChainState], fmt: str) -> str:
+def _table_text(columns: list[str], rows: list[tuple], fmt: str) -> str:
+    """Rows under a header line (csv, reals to 17 digits) or as {"rows": [...]} (json)."""
     if fmt == "json":
-        rows = [
-            {"t": s.t, "I": s.unvisited, "A": s.active, "D": s.dead} for s in states
-        ]
-        return json.dumps({"rows": rows}, indent=2) + "\n"
+        return json.dumps({"rows": [dict(zip(columns, r)) for r in rows]}, indent=2) + "\n"
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "I", "A", "D"])
-    for s in states:
-        w.writerow([s.t, s.unvisited, s.active, s.dead])
-    return buf.getvalue()
-
-
-def _orbit_text(states: list[dynamics.DetState], fmt: str) -> str:
-    if fmt == "json":
-        rows = [
-            {"t": s.t, "iota": s.iota, "alpha": s.alpha, "delta": s.delta}
-            for s in states
-        ]
-        return json.dumps({"rows": rows}, indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "iota", "alpha", "delta"])
-    for s in states:
-        w.writerow([s.t, _g17(s.iota), _g17(s.alpha), _g17(s.delta)])
+    w.writerow(columns)
+    w.writerows([harness.format_value(v) for v in r] for r in rows)
     return buf.getvalue()
 
 
@@ -72,7 +54,8 @@ def cmd_simulate(args) -> int:
     params = chain.ModelParams(n=args.n, kind=_MODEL[args.model], p=args.p)
     rng = chain.replication_rng(args.seed, 0)
     states = chain.simulate_trajectory(params, args.tmax, rng)
-    _emit(_trajectory_text(states, args.format), args.out)
+    rows = [(s.t, s.unvisited, s.active, s.dead) for s in states]
+    _emit(_table_text(["t", "I", "A", "D"], rows, args.format), args.out)
     return 0
 
 
@@ -87,13 +70,14 @@ def cmd_det(args) -> int:
         )
         return 0
     states = dynamics.det_orbit(args.n, kind, args.tmax, p)
-    _emit(_orbit_text(states, args.format), args.out)
+    rows = [(s.t, s.iota, s.alpha, s.delta) for s in states]
+    _emit(_table_text(["t", "iota", "alpha", "delta"], rows, args.format), args.out)
     return 0
 
 
 def cmd_limits(args) -> int:
     if not 0.0 < args.p < 1.0:
-        raise SystemExit(2)
+        raise ValueError(f"p must be in (0, 1), got {args.p}")
     lines = []
     if args.n is not None:
         lines.append(f"iota_inf_N={_g17(dynamics.fixed_point_tauN(args.p, args.n))}")
@@ -155,7 +139,7 @@ def cmd_experiment(args) -> int:
         replications=pick(args.reps, "reps", int, 100),
         seed=pick(args.seed, "seed", int, _default_seed()),
     )
-    summary = harness.run_experiment(cfg)
+    summary = harness.run_experiment(cfg, args.jobs)
     text = (
         harness.summary_to_csv(summary)
         if args.format == "csv"
@@ -210,7 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--tmax", type=int, default=None)
     p_exp.add_argument("--reps", type=int, default=None)
     p_exp.add_argument("--config", default=None, help="key=value config file")
-    p_exp.add_argument("--jobs", type=int, default=1, help="worker cap (output is jobs-invariant)")
+    p_exp.add_argument(
+        "--jobs", type=int, default=None,
+        help="threads for the replications of cells with N >= 2**18 "
+        "(default: all usable CPUs; output is the same for any value)",
+    )
     p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_exp.add_argument("--seed", type=int, default=None)

@@ -9,9 +9,18 @@ Experiment kinds:
   fig3    nongeometric long-run unvisited fraction vs N
   peak    nongeometric active-fraction peak index vs N
 
-Every run is identified by (config, master seed); replication j uses the
-stream derived from SeedSequence([seed, j]) (plus a per-cell tag for
-multi-cell experiments), so output files are byte-identical across runs.
+Every run is identified by (config, master seed).  Replication `rep` of
+cell `cell` draws from its own stream, `chain.replication_rng(seed, cell,
+rep)`, so output files are byte-identical across runs.
+
+lln, final and phase hand their replications to one function, `_replicate`,
+which returns `fn(rng)` for every replication of a cell in rep order.  At
+N >= _THREAD_MIN_N and jobs > 1 it runs them on a thread pool of
+min(jobs, replications) workers: a step there is dominated by NumPy work
+that releases the GIL.  Below that threshold the short Python steps only
+trade the GIL, so it runs a plain loop.  The streams are per replication,
+the chain functions share no mutable state and results are gathered in rep
+order, so the output bytes do not depend on `jobs`.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -32,6 +41,7 @@ VERSION = "frogsim-0.1.0"
 KINDS = ("lln", "final", "phase", "moments", "fig1", "fig3", "peak")
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
+_THREAD_MIN_N = 2**18  # smallest N threaded; 2 threads lose to 1 below about 1e5-3e5
 
 
 @dataclass(frozen=True)
@@ -71,10 +81,10 @@ class RunSummary:
     rows: list[list]
     config: dict
     metadata: dict
-    wall_time: float = 0.0  # not serialized: output files must be reproducible
 
 
-def _fmt(v) -> str:
+def format_value(v) -> str:
+    """One CSV cell: reals to 17 significant digits, so float64 round-trips."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -89,7 +99,7 @@ def summary_to_csv(summary: RunSummary) -> str:
     w.writerow([f"# config={json.dumps(summary.config, sort_keys=True)}"])
     w.writerow(summary.columns)
     for row in summary.rows:
-        w.writerow([_fmt(v) for v in row])
+        w.writerow([format_value(v) for v in row])
     return buf.getvalue()
 
 
@@ -106,14 +116,8 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return {"seed": cfg.seed, "version": VERSION, "replications": cfg.replications}
 
 
-def _finish(cfg, columns, rows, t0) -> RunSummary:
-    return RunSummary(
-        columns=columns,
-        rows=rows,
-        config=asdict(cfg),
-        metadata=_metadata(cfg),
-        wall_time=time.perf_counter() - t0,
-    )
+def _finish(cfg, columns, rows) -> RunSummary:
+    return RunSummary(columns=columns, rows=rows, config=asdict(cfg), metadata=_metadata(cfg))
 
 
 def _quantiles(x: np.ndarray) -> tuple[float, float, float]:
@@ -125,27 +129,38 @@ def _params(cfg: ExperimentConfig, n: int, p: float) -> chain.ModelParams:
     return chain.ModelParams(n=n, kind=cfg.model, p=p)
 
 
-def _cell_rng(cfg: ExperimentConfig, cell: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, cell, rep]))
+def _replicate(cfg: ExperimentConfig, cell: int, n: int, jobs: int, fn) -> list:
+    """`fn(rng)` for each replication of `cell`, in rep order.
+
+    Threads serve only cells with N >= _THREAD_MIN_N; the module docstring
+    says why the output does not depend on `jobs`.
+    """
+
+    def one(rep):
+        return fn(chain.replication_rng(cfg.seed, cell, rep))
+
+    reps = range(cfg.replications)
+    if jobs == 1 or n < _THREAD_MIN_N:
+        return [one(rep) for rep in reps]
+    from concurrent.futures import ThreadPoolExecutor  # lazy: keeps CLI start-up short
+
+    with ThreadPoolExecutor(min(jobs, cfg.replications)) as pool:
+        return list(pool.map(one, reps))
 
 
-def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
+def lln_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
     """Sup-over-t max-norm deviation between scaled chain and orbit, per N.
 
     The deterministic orbit is computed once per N and shared across
     replications; absorbed trajectories are held frozen for comparison.
     """
-    if cfg.kind != "lln":
-        raise ValueError("config kind must be 'lln'")
-    t0 = time.perf_counter()
     p = cfg.p_values[0]
     rows = []
     for cell, n in enumerate(cfg.n_values):
         params = _params(cfg, n, p)
         orbit = dynamics.det_orbit(n, cfg.model, cfg.t_max, p)
-        devs = np.empty(cfg.replications)
-        for rep in range(cfg.replications):
-            rng = _cell_rng(cfg, cell, rep)
+
+        def deviation(rng):
             traj = chain.simulate_trajectory(params, cfg.t_max, rng)
             dev = 0.0
             for t in range(cfg.t_max + 1):
@@ -158,35 +173,30 @@ def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
                     abs(sc.a - det.alpha),
                     abs(sc.d - det.delta),
                 )
-            devs[rep] = dev
+            return dev
+
+        devs = np.array(_replicate(cfg, cell, n, jobs, deviation), dtype=float)
         q05, q50, q95 = _quantiles(devs)
         rows.append(
             [n, cfg.replications, float(devs.mean()), float(devs.std(ddof=1)), q05, q50, q95]
         )
     cols = ["n", "replications", "mean_dev", "sd_dev", "q05", "q50", "q95"]
-    return _finish(cfg, cols, rows, t0)
+    return _finish(cfg, cols, rows)
 
 
-def final_fraction_experiment(cfg: ExperimentConfig) -> RunSummary:
+def final_fraction_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
     """Final unvisited fraction I_final/(N+1) and absorption time, per N."""
-    if cfg.kind != "final":
-        raise ValueError("config kind must be 'final'")
-    t0 = time.perf_counter()
     p = cfg.p_values[0]
     rows = []
     for cell, n in enumerate(cfg.n_values):
         params = _params(cfg, n, p)
         cap = cfg.cap if cfg.cap is not None else 10 * n
-        fracs = np.empty(cfg.replications)
-        times = np.empty(cfg.replications)
-        capped = 0
-        for rep in range(cfg.replications):
-            rng = _cell_rng(cfg, cell, rep)
-            final, absorbed = chain.run_to_absorption(params, cap, rng)
-            if not absorbed:
-                capped += 1
-            fracs[rep] = final.unvisited / (n + 1)
-            times[rep] = final.t
+        runs = _replicate(
+            cfg, cell, n, jobs, lambda rng: chain.run_to_absorption(params, cap, rng)
+        )
+        capped = sum(not absorbed for _, absorbed in runs)
+        fracs = np.array([final.unvisited / (n + 1) for final, _ in runs], dtype=float)
+        times = np.array([final.t for final, _ in runs], dtype=float)
         q05, q50, q95 = _quantiles(fracs)
         rows.append(
             [
@@ -212,37 +222,31 @@ def final_fraction_experiment(cfg: ExperimentConfig) -> RunSummary:
         "q95",
         "mean_absorption_time",
     ]
-    return _finish(cfg, cols, rows, t0)
+    return _finish(cfg, cols, rows)
 
 
-def phase_sweep(cfg: ExperimentConfig) -> RunSummary:
+def phase_sweep(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
     """Mean final visited fraction across the p grid (geometric model).
 
     `capped` counts the runs that hit the step cap before absorbing.
     """
-    if cfg.kind != "phase":
-        raise ValueError("config kind must be 'phase'")
     if cfg.model != chain.GEOMETRIC:
         raise ValueError("phase sweep applies to the geometric model")
-    t0 = time.perf_counter()
     n = cfg.n_values[0]
     cap = cfg.cap if cfg.cap is not None else 10 * n
     rows = []
     for cell, p in enumerate(cfg.p_values):
         params = _params(cfg, n, p)
-        visited = np.empty(cfg.replications)
-        capped = 0
-        for rep in range(cfg.replications):
-            rng = _cell_rng(cfg, cell, rep)
-            final, absorbed = chain.run_to_absorption(params, cap, rng)
-            if not absorbed:
-                capped += 1
-            visited[rep] = (n + 1 - final.unvisited) / (n + 1)
+        runs = _replicate(
+            cfg, cell, n, jobs, lambda rng: chain.run_to_absorption(params, cap, rng)
+        )
+        capped = sum(not absorbed for _, absorbed in runs)
+        visited = np.array([(n + 1 - final.unvisited) / (n + 1) for final, _ in runs], dtype=float)
         rows.append(
             [p, n, cfg.replications, capped, float(visited.mean()), float(visited.std(ddof=1))]
         )
     cols = ["p", "n", "replications", "capped", "mean_visited_frac", "sd_visited_frac"]
-    return _finish(cfg, cols, rows, t0)
+    return _finish(cfg, cols, rows)
 
 
 def one_step_samples(
@@ -302,17 +306,14 @@ def moment_panel(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[
 
 def moment_audit(cfg: ExperimentConfig) -> RunSummary:
     """Standardized deviations of Monte Carlo one-step moments vs the oracles."""
-    if cfg.kind != "moments":
-        raise ValueError("config kind must be 'moments'")
-    t0 = time.perf_counter()
-    panel_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 999]))
+    panel_rng = chain.replication_rng(cfg.seed, 999)
     panel = moment_panel(cfg, panel_rng)
     oracle = (
         chain.moments_geometric if cfg.model == chain.GEOMETRIC else chain.moments_nongeometric
     )
     rows = []
     for cell, (state, params) in enumerate(panel):
-        rng = _cell_rng(cfg, cell, 0)
+        rng = chain.replication_rng(cfg.seed, cell, 0)
         mom = oracle(state, params)
         samples = one_step_samples(state, params, cfg.replications, rng)
         analytic = [
@@ -348,53 +349,48 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
                 ]
             )
     cols = ["model", "n", "p", "unvisited", "active", "dead", "component", "z_mean", "z_var"]
-    return _finish(cfg, cols, rows, t0)
+    return _finish(cfg, cols, rows)
 
 
 def fig1_data(cfg: ExperimentConfig) -> RunSummary:
     """Closed-form limit curve (p, iota_infinity(p))."""
-    if cfg.kind != "fig1":
-        raise ValueError("config kind must be 'fig1'")
-    t0 = time.perf_counter()
     rows = [[p, dynamics.iota_infinity(p)] for p in cfg.p_values]
-    return _finish(cfg, ["p", "iota_infinity"], rows, t0)
+    return _finish(cfg, ["p", "iota_infinity"], rows)
 
 
 def fig3_data(cfg: ExperimentConfig) -> RunSummary:
     """Nongeometric long-run unvisited fraction per N (ascending grid)."""
-    if cfg.kind != "fig3":
-        raise ValueError("config kind must be 'fig3'")
-    t0 = time.perf_counter()
     rows = []
     for n in cfg.n_values:
         res = dynamics.iterate_limit(n, dynamics.NONGEOMETRIC)
         rows.append([n, res.iota_inf, res.delta_inf, res.steps_used, res.converged])
     cols = ["n", "iota_inf", "delta_inf", "steps_used", "converged"]
-    return _finish(cfg, cols, rows, t0)
+    return _finish(cfg, cols, rows)
 
 
 def peak_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Nongeometric active-fraction peak index and unimodality check per N."""
-    if cfg.kind != "peak":
-        raise ValueError("config kind must be 'peak'")
-    t0 = time.perf_counter()
     rows = []
     for n in cfg.n_values:
         res = dynamics.alpha_peak_index(n)
         rows.append([n, res.index, res.pattern_ok, res.completed])
-    return _finish(cfg, ["n", "peak_index", "pattern_ok", "completed"], rows, t0)
+    return _finish(cfg, ["n", "peak_index", "pattern_ok", "completed"], rows)
 
 
-_DISPATCH = {
-    "lln": lln_experiment,
-    "final": final_fraction_experiment,
-    "phase": phase_sweep,
-    "moments": moment_audit,
-    "fig1": fig1_data,
-    "fig3": fig3_data,
-    "peak": peak_experiment,
-}
+_REPLICATED = {"lln": lln_experiment, "final": final_fraction_experiment, "phase": phase_sweep}
+_SINGLE = {"moments": moment_audit, "fig1": fig1_data, "fig3": fig3_data, "peak": peak_experiment}
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunSummary:
-    return _DISPATCH[cfg.kind](cfg)
+def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> RunSummary:
+    """Run `cfg`; lln, final and phase use up to `jobs` threads at large N.
+
+    `jobs` defaults to the CPUs this process may run on.  It is not part of
+    the config, so the output bytes are the same for every value.
+    """
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if cfg.kind in _REPLICATED:
+        return _REPLICATED[cfg.kind](cfg, jobs)
+    return _SINGLE[cfg.kind](cfg)

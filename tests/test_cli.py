@@ -120,7 +120,10 @@ class TestLimits:
         assert val < 0.4
 
     def test_p_out_of_range_exit_2(self):
-        assert run_cli("limits", "--p", "1.5").returncode == 2
+        res = run_cli("limits", "--p", "1.5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: p must be in (0, 1), got 1.5"]
 
     def test_bad_env_seed_exit_2(self):
         res = run_cli("limits", "--p", "0.8", "--n", "1000", env={"FROGSIM_SEED": "abc"})
@@ -210,6 +213,50 @@ class TestExperiment:
         assert len(res.stderr.splitlines()) == 1
         assert f"unknown config key '{key}'" in res.stderr
 
-    def test_jobs_flag_invariant(self):
-        args = ["experiment", "--kind", "fig3", "--n", "100", "--seed", "2"]
-        assert run_cli(*args, "--jobs", "1").stdout == run_cli(*args, "--jobs", "4").stdout
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kind", "lln", "--model", "geom", "--p", "0.7", "--n", "50,80", "--tmax", "6", "--reps", "5"],
+            ["--kind", "final", "--model", "nongeom", "--n", "40,60", "--reps", "7"],
+            ["--kind", "phase", "--model", "geom", "--p", "0.3,0.8", "--n", "60", "--reps", "4"],
+        ],
+        ids=["lln", "final", "phase"],
+    )
+    def test_jobs_threaded_output_identical(self, tmp_path, monkeypatch, args):
+        # Lower the N threshold so these small cells take the threaded path.
+        import threading
+
+        from frogsim import chain, cli, harness
+
+        monkeypatch.setattr(harness, "_THREAD_MIN_N", 0)
+        threads = set()
+        for name in ("simulate_trajectory", "run_to_absorption"):
+            real = getattr(chain, name)
+
+            def spy(*a, _real=real):
+                threads.add(threading.get_ident())
+                return _real(*a)
+
+            monkeypatch.setattr(chain, name, spy)
+        outputs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # frequent thread switches expose any shared state
+        try:
+            for jobs in (1, 2, 3):
+                threads.clear()
+                out = tmp_path / f"jobs{jobs}.csv"
+                argv = ["experiment", *args, "--seed", "11", "--jobs", str(jobs), "--out", str(out)]
+                assert cli.main(argv) == 0
+                outputs[jobs] = out.read_bytes()
+                main_only = threads == {threading.get_ident()}
+                assert main_only == (jobs == 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[1] == outputs[2] == outputs[3]
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_exit_2(self, jobs):
+        res = run_cli("experiment", "--kind", "final", "--n", "20", "--reps", "3", "--jobs", jobs)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: jobs must be >= 1, got {jobs}"]

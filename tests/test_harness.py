@@ -193,6 +193,20 @@ class TestFigures:
             assert d["pattern_ok"] and d["completed"]
 
 
+class TestReplications:
+    def test_streams_keyed_by_seed_cell_rep(self):
+        from frogsim.chain import replication_rng
+
+        a = replication_rng(7, 1, 2).integers(0, 2**62, size=4)
+        b = np.random.default_rng(np.random.SeedSequence([7, 1, 2])).integers(0, 2**62, size=4)
+        assert np.array_equal(a, b)
+
+    def test_rejects_jobs_below_one(self):
+        cfg = ExperimentConfig(kind="lln", n_values=(20,), t_max=2, replications=2)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(cfg, jobs=0)
+
+
 class TestDispatch:
     def test_all_kinds_dispatch(self):
         cfg = ExperimentConfig(kind="peak", n_values=(10,))
