@@ -1,5 +1,7 @@
 """Frog-model chains on the complete graph, deterministic limits, and experiments."""
 
+__version__ = "0.1.0"  # before the imports: harness builds its VERSION from it
+
 from .occupancy import (
     OccupancySpec,
     PmfUnavailableError,
@@ -38,5 +40,3 @@ from .dynamics import (
     phi,
 )
 from .harness import ExperimentConfig, RunSummary, run_experiment
-
-__version__ = "0.1.0"

@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import chain, dynamics, harness
+from .harness import format_value
 
 _MODEL = {"geom": "geometric", "nongeom": "nongeometric"}
 
@@ -25,10 +26,6 @@ def _default_seed() -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"FROGSIM_SEED must be an integer, got {text!r}") from None
-
-
-def _g17(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -46,7 +43,7 @@ def _table_text(columns: list[str], rows: list[tuple], fmt: str) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
-    w.writerows([harness.format_value(v) for v in r] for r in rows)
+    w.writerows([format_value(v) for v in r] for r in rows)
     return buf.getvalue()
 
 
@@ -65,8 +62,8 @@ def cmd_det(args) -> int:
     if args.until_alpha is not None:
         res = dynamics.iterate_limit(args.n, kind, p, alpha_tol=args.until_alpha)
         print(
-            f"iota_inf={_g17(res.iota_inf)} delta_inf={_g17(res.delta_inf)} "
-            f"steps={res.steps_used} converged={str(res.converged).lower()}"
+            f"iota_inf={format_value(res.iota_inf)} delta_inf={format_value(res.delta_inf)} "
+            f"steps={res.steps_used} converged={format_value(res.converged)}"
         )
         return 0
     states = dynamics.det_orbit(args.n, kind, args.tmax, p)
@@ -80,14 +77,11 @@ def cmd_limits(args) -> int:
         raise ValueError(f"p must be in (0, 1), got {args.p}")
     lines = []
     if args.n is not None:
-        lines.append(f"iota_inf_N={_g17(dynamics.fixed_point_tauN(args.p, args.n))}")
+        lines.append(f"iota_inf_N={format_value(dynamics.fixed_point_tauN(args.p, args.n))}")
     if args.closed_form or args.n is None:
-        lines.append(f"iota_inf={_g17(dynamics.iota_infinity(args.p))}")
+        lines.append(f"iota_inf={format_value(dynamics.iota_infinity(args.p))}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
-
-
-_CONFIG_KEYS = ("kind", "model", "p", "n", "tmax", "reps", "seed")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -101,7 +95,7 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _EXPERIMENT_INPUTS:
                 raise ValueError(f"unknown config key {key!r} in {path}")
             values[key] = val.strip()
     return values
@@ -115,31 +109,35 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v)
 
 
+# Each experiment flag, which is also its --config key: the ExperimentConfig
+# field it sets and the parser of its --config value.  A key given neither way
+# is left out, so the field keeps its ExperimentConfig default.
+_EXPERIMENT_INPUTS = {
+    "kind": ("kind", str),
+    "model": ("model", str),
+    "p": ("p_values", _float_list),
+    "n": ("n_values", _int_list),
+    "tmax": ("t_max", int),
+    "reps": ("replications", int),
+    "seed": ("seed", int),
+}
+
+
 def cmd_experiment(args) -> int:
     file_vals = _parse_config_file(args.config) if args.config else {}
-
-    def pick(flag_val, key, conv, default):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return conv(file_vals[key])
-        return default
-
-    kind = pick(args.kind, "kind", str, None)
-    if kind is None:
+    fields = {}
+    for key, (field, parse) in _EXPERIMENT_INPUTS.items():
+        if getattr(args, key) is not None:
+            fields[field] = getattr(args, key)
+        elif key in file_vals:
+            fields[field] = parse(file_vals[key])
+    if "kind" not in fields:
         print("experiment: missing kind", file=sys.stderr)
         return 2
-    model_flag = pick(args.model, "model", str, "nongeom")
-    cfg = harness.ExperimentConfig(
-        kind=kind,
-        model=_MODEL.get(model_flag, model_flag),
-        p_values=pick(args.p, "p", _float_list, (0.5,)),
-        n_values=pick(args.n, "n", _int_list, (100,)),
-        t_max=pick(args.tmax, "tmax", int, 20),
-        replications=pick(args.reps, "reps", int, 100),
-        seed=pick(args.seed, "seed", int, _default_seed()),
-    )
-    summary = harness.run_experiment(cfg, args.jobs)
+    if "model" in fields:
+        fields["model"] = _MODEL.get(fields["model"], fields["model"])
+    fields.setdefault("seed", _default_seed())
+    summary = harness.run_experiment(harness.ExperimentConfig(**fields))
     text = (
         harness.summary_to_csv(summary)
         if args.format == "csv"
@@ -194,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--tmax", type=int, default=None)
     p_exp.add_argument("--reps", type=int, default=None)
     p_exp.add_argument("--config", default=None, help="key=value config file")
-    p_exp.add_argument(
-        "--jobs", type=int, default=None,
-        help="threads for the replications of cells with N >= 2**18 "
-        "(default: all usable CPUs; output is the same for any value)",
-    )
     p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_exp.add_argument("--seed", type=int, default=None)

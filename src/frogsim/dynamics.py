@@ -113,8 +113,8 @@ def iterate_limit(
     Non-convergence is reported through the flag, not an exception: near
     p = 1/2 the geometric decay degrades to polynomial.
     """
-    if alpha_tol <= 0:
-        raise ValueError("alpha_tol must be > 0")
+    if not 0 < alpha_tol < math.inf:
+        raise ValueError(f"alpha_tol must be finite and > 0, got {alpha_tol}")
     s = det_initial(n)
     steps = 0
     while s.alpha >= alpha_tol and steps < max_steps:
@@ -228,11 +228,10 @@ def fixed_points_tau(p: float) -> tuple[float, ...]:
 def alpha_peak_index(n: int, max_steps: int = 10**6) -> PeakResult:
     """Peak of the nongeometric active fraction and its unimodality check.
 
-    The orbit is run until alpha < 1e-12; the sequence should increase
-    strictly up to a unique peak (weak inequality allowed at the peak
-    itself, resolved to the later index) and decrease strictly after.
+    The orbit is run until alpha < DEFAULT_ALPHA_TOL; the sequence should
+    increase strictly up to a unique peak (weak inequality allowed at the
+    peak itself, resolved to the later index) and decrease strictly after.
     """
-    threshold = 1e-12
     alphas = []
     s = det_initial(n)
     alphas.append(s.alpha)
@@ -240,7 +239,7 @@ def alpha_peak_index(n: int, max_steps: int = 10**6) -> PeakResult:
     for _ in range(max_steps):
         s = det_step_nongeometric(s)
         alphas.append(s.alpha)
-        if s.alpha < threshold:
+        if s.alpha < DEFAULT_ALPHA_TOL:
             completed = True
             break
 

@@ -15,12 +15,12 @@ rep)`, so output files are byte-identical across runs.
 
 lln, final and phase hand their replications to one function, `_replicate`,
 which returns `fn(rng)` for every replication of a cell in rep order.  At
-N >= _THREAD_MIN_N and jobs > 1 it runs them on a thread pool of
-min(jobs, replications) workers: a step there is dominated by NumPy work
-that releases the GIL.  Below that threshold the short Python steps only
-trade the GIL, so it runs a plain loop.  The streams are per replication,
-the chain functions share no mutable state and results are gathered in rep
-order, so the output bytes do not depend on `jobs`.
+N >= _THREAD_MIN_N it runs them on one thread per usable CPU (the affinity
+mask, so `taskset` limits them), at most one per replication: a step there
+is dominated by NumPy work that releases the GIL.  Below that threshold the
+short Python steps only trade the GIL, so it runs a plain loop.  Streams are
+per replication, the chain functions share no mutable state and results are
+gathered in rep order, so the output bytes do not depend on the threads.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import chain, dynamics
+from . import __version__, chain, dynamics
 from .occupancy import sample_empbox_batch
 
-VERSION = "frogsim-0.1.0"
-
-KINDS = ("lln", "final", "phase", "moments", "fig1", "fig3", "peak")
+VERSION = f"frogsim-{__version__}"
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
 _THREAD_MIN_N = 2**18  # smallest N threaded; 2 threads lose to 1 below about 1e5-3e5
@@ -53,7 +51,6 @@ class ExperimentConfig:
     t_max: int = 20
     replications: int = 100
     seed: int = 0
-    cap: int | None = None  # run_to_absorption step cap; default 10 * N
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -69,6 +66,12 @@ class ExperimentConfig:
                 f"moments needs replications >= {2 * _VAR_BATCHES} "
                 f"(2 draws per variance batch), got {self.replications}"
             )
+        if not self.p_values or not self.n_values:
+            raise ValueError("p and n grids must not be empty")
+        if self.kind in ("lln", "final", "moments") and len(self.p_values) > 1:
+            raise ValueError(f"{self.kind} takes one p value, got {len(self.p_values)}")
+        if self.kind == "phase" and len(self.n_values) > 1:
+            raise ValueError(f"phase takes one n value, got {len(self.n_values)}")
         if any(n < 3 for n in self.n_values):
             raise ValueError("all n values must be >= 3")
         if any(not 0.0 <= p <= 1.0 for p in self.p_values):
@@ -129,26 +132,39 @@ def _params(cfg: ExperimentConfig, n: int, p: float) -> chain.ModelParams:
     return chain.ModelParams(n=n, kind=cfg.model, p=p)
 
 
-def _replicate(cfg: ExperimentConfig, cell: int, n: int, jobs: int, fn) -> list:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _replicate(cfg: ExperimentConfig, cell: int, n: int, fn) -> list:
     """`fn(rng)` for each replication of `cell`, in rep order.
 
     Threads serve only cells with N >= _THREAD_MIN_N; the module docstring
-    says why the output does not depend on `jobs`.
+    says why the output does not depend on their number.
     """
 
     def one(rep):
         return fn(chain.replication_rng(cfg.seed, cell, rep))
 
     reps = range(cfg.replications)
-    if jobs == 1 or n < _THREAD_MIN_N:
+    workers = min(_usable_cpus(), cfg.replications) if n >= _THREAD_MIN_N else 1
+    if workers == 1:
         return [one(rep) for rep in reps]
     from concurrent.futures import ThreadPoolExecutor  # lazy: keeps CLI start-up short
 
-    with ThreadPoolExecutor(min(jobs, cfg.replications)) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(one, reps))
 
 
-def lln_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
+def _absorption_runs(cfg: ExperimentConfig, cell: int, params: chain.ModelParams):
+    """Final states of `cell`'s replications, run to absorption or 10 N steps; capped count."""
+    cap = 10 * params.n
+    runs = _replicate(cfg, cell, params.n, lambda rng: chain.run_to_absorption(params, cap, rng))
+    return [final for final, _ in runs], sum(not absorbed for _, absorbed in runs)
+
+
+def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Sup-over-t max-norm deviation between scaled chain and orbit, per N.
 
     The deterministic orbit is computed once per N and shared across
@@ -175,7 +191,7 @@ def lln_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
                 )
             return dev
 
-        devs = np.array(_replicate(cfg, cell, n, jobs, deviation), dtype=float)
+        devs = np.array(_replicate(cfg, cell, n, deviation), dtype=float)
         q05, q50, q95 = _quantiles(devs)
         rows.append(
             [n, cfg.replications, float(devs.mean()), float(devs.std(ddof=1)), q05, q50, q95]
@@ -184,19 +200,14 @@ def lln_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
     return _finish(cfg, cols, rows)
 
 
-def final_fraction_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
+def final_fraction_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Final unvisited fraction I_final/(N+1) and absorption time, per N."""
     p = cfg.p_values[0]
     rows = []
     for cell, n in enumerate(cfg.n_values):
-        params = _params(cfg, n, p)
-        cap = cfg.cap if cfg.cap is not None else 10 * n
-        runs = _replicate(
-            cfg, cell, n, jobs, lambda rng: chain.run_to_absorption(params, cap, rng)
-        )
-        capped = sum(not absorbed for _, absorbed in runs)
-        fracs = np.array([final.unvisited / (n + 1) for final, _ in runs], dtype=float)
-        times = np.array([final.t for final, _ in runs], dtype=float)
+        finals, capped = _absorption_runs(cfg, cell, _params(cfg, n, p))
+        fracs = np.array([final.unvisited / (n + 1) for final in finals], dtype=float)
+        times = np.array([final.t for final in finals], dtype=float)
         q05, q50, q95 = _quantiles(fracs)
         rows.append(
             [
@@ -225,7 +236,7 @@ def final_fraction_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunSummar
     return _finish(cfg, cols, rows)
 
 
-def phase_sweep(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
+def phase_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Mean final visited fraction across the p grid (geometric model).
 
     `capped` counts the runs that hit the step cap before absorbing.
@@ -233,15 +244,10 @@ def phase_sweep(cfg: ExperimentConfig, jobs: int = 1) -> RunSummary:
     if cfg.model != chain.GEOMETRIC:
         raise ValueError("phase sweep applies to the geometric model")
     n = cfg.n_values[0]
-    cap = cfg.cap if cfg.cap is not None else 10 * n
     rows = []
     for cell, p in enumerate(cfg.p_values):
-        params = _params(cfg, n, p)
-        runs = _replicate(
-            cfg, cell, n, jobs, lambda rng: chain.run_to_absorption(params, cap, rng)
-        )
-        capped = sum(not absorbed for _, absorbed in runs)
-        visited = np.array([(n + 1 - final.unvisited) / (n + 1) for final, _ in runs], dtype=float)
+        finals, capped = _absorption_runs(cfg, cell, _params(cfg, n, p))
+        visited = np.array([(n + 1 - final.unvisited) / (n + 1) for final in finals], dtype=float)
         rows.append(
             [p, n, cfg.replications, capped, float(visited.mean()), float(visited.std(ddof=1))]
         )
@@ -377,20 +383,11 @@ def peak_experiment(cfg: ExperimentConfig) -> RunSummary:
     return _finish(cfg, ["n", "peak_index", "pattern_ok", "completed"], rows)
 
 
-_REPLICATED = {"lln": lln_experiment, "final": final_fraction_experiment, "phase": phase_sweep}
-_SINGLE = {"moments": moment_audit, "fig1": fig1_data, "fig3": fig3_data, "peak": peak_experiment}
+_DISPATCH = {"lln": lln_experiment, "final": final_fraction_experiment, "phase": phase_sweep,
+             "moments": moment_audit, "fig1": fig1_data, "fig3": fig3_data, "peak": peak_experiment}
+KINDS = tuple(_DISPATCH)
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> RunSummary:
-    """Run `cfg`; lln, final and phase use up to `jobs` threads at large N.
-
-    `jobs` defaults to the CPUs this process may run on.  It is not part of
-    the config, so the output bytes are the same for every value.
-    """
-    if jobs is None:
-        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if cfg.kind in _REPLICATED:
-        return _REPLICATED[cfg.kind](cfg, jobs)
-    return _SINGLE[cfg.kind](cfg)
+def run_experiment(cfg: ExperimentConfig) -> RunSummary:
+    """Run `cfg`; lln, final and phase use a thread per usable CPU at large N."""
+    return _DISPATCH[cfg.kind](cfg)

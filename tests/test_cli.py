@@ -95,6 +95,13 @@ class TestDet:
         res = run_cli("det", "--model", "geom", "--p", "0.5", "--n", "3")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_until_alpha_not_finite_exit_2(self, tol):
+        res = run_cli("det", "--model", "geom", "--p", "0.8", "--n", "100", "--until-alpha", tol)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: alpha_tol must be finite and > 0, got {tol}"]
+
     def test_orbit_full_precision(self):
         res = run_cli("det", "--model", "nongeom", "--n", "3", "--tmax", "2")
         row = res.stdout.splitlines()[2].split(",")
@@ -214,6 +221,25 @@ class TestExperiment:
         assert f"unknown config key '{key}'" in res.stderr
 
     @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--kind", "phase", "--model", "geom", "--n", ","], "p and n grids must not be empty"),
+            (["--kind", "lln", "--p", ","], "p and n grids must not be empty"),
+            (["--kind", "final", "--p", ","], "p and n grids must not be empty"),
+            (["--kind", "moments", "--p", ",", "--reps", "400"], "p and n grids must not be empty"),
+            (["--kind", "lln", "--p", "0.6,0.9"], "lln takes one p value, got 2"),
+            (["--kind", "final", "--p", "0.6,0.9"], "final takes one p value, got 2"),
+            (["--kind", "moments", "--p", "0.6,0.9", "--reps", "400"], "moments takes one p value, got 2"),
+            (["--kind", "phase", "--model", "geom", "--n", "20,30"], "phase takes one n value, got 2"),
+        ],
+    )
+    def test_empty_or_ignored_grid_exit_2(self, args, message):
+        res = run_cli("experiment", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["--kind", "lln", "--model", "geom", "--p", "0.7", "--n", "50,80", "--tmax", "6", "--reps", "5"],
@@ -223,7 +249,8 @@ class TestExperiment:
         ids=["lln", "final", "phase"],
     )
     def test_jobs_threaded_output_identical(self, tmp_path, monkeypatch, args):
-        # Lower the N threshold so these small cells take the threaded path.
+        # Lower the N threshold so these small cells take the threaded path,
+        # and stand in 1, 2 and 3 usable CPUs for the affinity mask.
         import threading
 
         from frogsim import chain, cli, harness
@@ -242,21 +269,14 @@ class TestExperiment:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # frequent thread switches expose any shared state
         try:
-            for jobs in (1, 2, 3):
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
                 threads.clear()
-                out = tmp_path / f"jobs{jobs}.csv"
-                argv = ["experiment", *args, "--seed", "11", "--jobs", str(jobs), "--out", str(out)]
-                assert cli.main(argv) == 0
-                outputs[jobs] = out.read_bytes()
+                out = tmp_path / f"cpus{cpus}.csv"
+                assert cli.main(["experiment", *args, "--seed", "11", "--out", str(out)]) == 0
+                outputs[cpus] = out.read_bytes()
                 main_only = threads == {threading.get_ident()}
-                assert main_only == (jobs == 1)
+                assert main_only == (cpus == 1)
         finally:
             sys.setswitchinterval(interval)
         assert outputs[1] == outputs[2] == outputs[3]
-
-    @pytest.mark.parametrize("jobs", ["0", "-5"])
-    def test_jobs_below_one_exit_2(self, jobs):
-        res = run_cli("experiment", "--kind", "final", "--n", "20", "--reps", "3", "--jobs", jobs)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert res.stderr.splitlines() == [f"error: jobs must be >= 1, got {jobs}"]

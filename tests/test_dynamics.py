@@ -252,6 +252,11 @@ class TestIterateLimit:
         res = iterate_limit(1000, NONGEOMETRIC, alpha_tol=1e-12, max_steps=3)
         assert not res.converged and res.steps_used == 3
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.inf, math.nan])
+    def test_rejects_tolerance_not_finite_positive(self, tol):
+        with pytest.raises(ValueError, match="alpha_tol must be finite and > 0"):
+            iterate_limit(100, GEOMETRIC, 0.8, alpha_tol=tol)
+
 
 class TestAlphaPeak:
     @pytest.mark.parametrize("n,m", [(3, 2), (1000, 10)])

@@ -37,8 +37,20 @@ class TestConfig:
             ExperimentConfig(kind="final", replications=1)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="moments", replications=399)
+        for kind in ("lln", "fig1", "fig3"):
+            with pytest.raises(ValueError, match="must not be empty"):
+                ExperimentConfig(kind=kind, p_values=())
+            with pytest.raises(ValueError, match="must not be empty"):
+                ExperimentConfig(kind=kind, n_values=())
+        for kind in ("lln", "final", "moments"):
+            with pytest.raises(ValueError, match="takes one p value"):
+                ExperimentConfig(kind=kind, p_values=(0.3, 0.6), replications=400)
+        with pytest.raises(ValueError, match="takes one n value"):
+            ExperimentConfig(kind="phase", n_values=(20, 30))
         ExperimentConfig(kind="moments", replications=400)
         ExperimentConfig(kind="fig1", replications=1)
+        ExperimentConfig(kind="phase", p_values=(0.3, 0.6))
+        ExperimentConfig(kind="final", n_values=(20, 30))
 
 
 class TestSerialization:
@@ -200,11 +212,6 @@ class TestReplications:
         a = replication_rng(7, 1, 2).integers(0, 2**62, size=4)
         b = np.random.default_rng(np.random.SeedSequence([7, 1, 2])).integers(0, 2**62, size=4)
         assert np.array_equal(a, b)
-
-    def test_rejects_jobs_below_one(self):
-        cfg = ExperimentConfig(kind="lln", n_values=(20,), t_max=2, replications=2)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            run_experiment(cfg, jobs=0)
 
 
 class TestDispatch:

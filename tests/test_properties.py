@@ -1,0 +1,72 @@
+"""Property-based checks: chain invariants, the two EmpBox entry points, and
+the `experiment` command's exit codes on generated argument lists."""
+
+import contextlib
+import io
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from frogsim import chain, cli, harness
+from frogsim.occupancy import OccupancySpec, sample_empbox, sample_empbox_batch
+
+# Fixed examples (derandomize) and no example database, so every run tests the
+# same cases and leaves no files behind.
+SETTINGS = settings(derandomize=True, deadline=None, database=None)
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from([chain.GEOMETRIC, chain.NONGEOMETRIC]),
+    n=st.integers(3, 400),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_invariants(kind, n, p, seed):
+    params = chain.ModelParams(n=n, kind=kind, p=p)
+    states = chain.simulate_trajectory(params, 60, chain.replication_rng(seed))
+    for prev, cur in zip(states, states[1:]):
+        assert cur.unvisited + cur.active + cur.dead == n + 1
+        assert min(cur.unvisited, cur.active, cur.dead) >= 0
+        assert cur.unvisited <= prev.unvisited
+        assert cur.dead >= prev.dead
+        assert cur.t == prev.t + 1
+
+
+@SETTINGS
+@given(balls=st.integers(0, 5000), boxes=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
+def test_batch_of_one_equals_scalar_empbox(balls, boxes, seed):
+    rng_scalar, rng_batch = np.random.default_rng(seed), np.random.default_rng(seed)
+    scalar = sample_empbox(OccupancySpec(balls, boxes), rng_scalar)
+    batch = sample_empbox_batch(np.array([balls]), boxes, rng_batch)
+    assert batch.tolist() == [scalar]
+    # Both consumed the same stream, so the next draws agree too.
+    assert rng_scalar.integers(2**62) == rng_batch.integers(2**62)
+
+
+def _grid(values):
+    """Comma-joined grids of 0-3 items, empty items included, so "," occurs."""
+    return st.lists(st.sampled_from(values), max_size=3).map(",".join)
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(harness.KINDS + ("bogus",)),
+    model=st.sampled_from(["geom", "nongeom", None]),
+    p=st.one_of(st.none(), _grid(["", "0", "0.5", "0.9", "1", "1.5", "x"])),
+    n=st.one_of(st.none(), _grid(["", "2", "3", "12", "x"])),
+    reps=st.sampled_from([None, "0", "1", "3", "400", "x"]),
+    tmax=st.sampled_from([None, "0", "4"]),
+)
+def test_experiment_exits_0_or_2(kind, model, p, n, reps, tmax):
+    argv = ["experiment", "--kind", kind, "--seed", "5"]
+    for flag, value in (("--model", model), ("--p", p), ("--n", n), ("--reps", reps), ("--tmax", tmax)):
+        if value is not None:
+            argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().strip(), argv
