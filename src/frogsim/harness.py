@@ -9,6 +9,9 @@ Experiment kinds:
   fig3    nongeometric long-run unvisited fraction vs N
   peak    nongeometric active-fraction peak index vs N
 
+`_DISPATCH` lists the inputs each kind reads; a p grid, N grid or t_max that
+its kind does not read must keep its default, or the config is rejected.
+
 Every run is identified by (config, master seed).  Replication `rep` of
 cell `cell` draws from its own stream, `chain.replication_rng(seed, cell,
 rep)`, so output files are byte-identical across runs.
@@ -29,7 +32,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -76,6 +79,11 @@ class ExperimentConfig:
             raise ValueError("all n values must be >= 3")
         if any(not 0.0 <= p <= 1.0 for p in self.p_values):
             raise ValueError("all p values must be in [0, 1]")
+        reads = _DISPATCH[self.kind][1]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _KIND_INPUTS and f.name not in reads and value != f.default:
+                raise ValueError(f"{self.kind} does not read {f.name}, got {value!r}")
 
 
 @dataclass
@@ -383,11 +391,22 @@ def peak_experiment(cfg: ExperimentConfig) -> RunSummary:
     return _finish(cfg, ["n", "peak_index", "pattern_ok", "completed"], rows)
 
 
-_DISPATCH = {"lln": lln_experiment, "final": final_fraction_experiment, "phase": phase_sweep,
-             "moments": moment_audit, "fig1": fig1_data, "fig3": fig3_data, "peak": peak_experiment}
+# Each kind's function and the inputs of _KIND_INPUTS it reads.  Every kind
+# accepts model, replications and seed; ExperimentConfig rejects a value other
+# than the default in an input its kind does not read.
+_KIND_INPUTS = ("p_values", "n_values", "t_max")
+_DISPATCH = {
+    "lln": (lln_experiment, ("p_values", "n_values", "t_max")),
+    "final": (final_fraction_experiment, ("p_values", "n_values")),
+    "phase": (phase_sweep, ("p_values", "n_values")),
+    "moments": (moment_audit, ("p_values",)),
+    "fig1": (fig1_data, ("p_values",)),
+    "fig3": (fig3_data, ("n_values",)),
+    "peak": (peak_experiment, ("n_values",)),
+}
 KINDS = tuple(_DISPATCH)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Run `cfg`; lln, final and phase use a thread per usable CPU at large N."""
-    return _DISPATCH[cfg.kind](cfg)
+    return _DISPATCH[cfg.kind][0](cfg)

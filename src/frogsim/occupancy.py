@@ -7,10 +7,13 @@ large c, so it is hard-capped at EXACT_PMF_CAP boxes; at scale callers
 must use the sampler instead.
 
 The sampler is exact: `sample_empbox` (one draw) and `sample_empbox_batch`
-(many) throw the balls with one ``rng.integers`` call and count each draw's
-distinct boxes in an occupancy mask at one ball per eight boxes or more,
-and by sorting the balls below that.  Memory is O(balls), and the choice
-never touches the random stream, so seeded outputs do not depend on it.
+(many) throw the balls with ``rng.integers`` and count each draw's distinct
+boxes.  The batch throws its balls in chunks of about _CHUNK_BALLS, cut only
+between draws, so its memory is O(draws) plus one chunk (a draw with more
+balls than a chunk is a chunk by itself).  Keys are int32 whenever every key
+of a chunk fits (`_key_dtype`), int64 otherwise.  Consecutive calls draw the
+same integers as one call, and int32 the same as int64, so neither the
+chunking nor the key type nor the count method touches the random stream.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 EXACT_PMF_CAP = 64
+_CHUNK_BALLS = 2**18  # balls per rng.integers call of sample_empbox_batch
 
 
 class PmfUnavailableError(ValueError):
@@ -94,19 +98,25 @@ def empbox_variance(spec: OccupancySpec) -> float:
     )
 
 
-def _count_distinct(keys: np.ndarray, draws: int, boxes: int):
-    """Distinct boxes hit by each draw, from int64 keys draw * boxes + box.
+def _key_dtype(draws: int, boxes: int):
+    """int32 when every key draw * boxes + box of `draws` draws fits, else int64."""
+    return np.int32 if draws * boxes <= 2**31 else np.int64
 
-    Scatters the keys into a (draws, boxes) occupancy mask when that mask is
-    no larger than the keys themselves (draws * boxes <= 8 * keys.size, that
-    is at least one ball per eight boxes); otherwise sorts the keys in place
-    and counts the first key of each run.  Either way the extra memory is at
-    most about one key per ball.  One draw gives an int, several an array.
+
+def _count_distinct(keys: np.ndarray, draws: int, boxes: int):
+    """Distinct boxes hit by each draw, from keys draw * boxes + box.
+
+    Several draws with at least one ball per eight boxes scatter into a
+    (draws, boxes) occupancy mask, no larger than eight bytes per ball, and
+    sum its rows.  Otherwise the keys are sorted in place and the first key
+    of each run counted; a single draw always sorts, which timed faster than
+    its mask at every ratio a chain step reaches.  One draw gives an int,
+    several an array.
     """
-    if draws * boxes <= 8 * keys.size:
+    if draws > 1 and draws * boxes <= 8 * keys.size:
         mask = np.zeros((draws, boxes), dtype=bool)
         mask.reshape(-1)[keys] = True
-        return np.count_nonzero(mask) if draws == 1 else mask.sum(axis=1)
+        return mask.sum(axis=1)
     keys.sort()
     if draws == 1:
         return 1 + np.count_nonzero(keys[1:] != keys[:-1])
@@ -123,31 +133,40 @@ def sample_empbox(spec: OccupancySpec, rng: np.random.Generator) -> int:
     b, c = spec.balls, spec.boxes
     if b == 0:
         return c
-    return c - int(_count_distinct(rng.integers(0, c, size=b), 1, c))
+    return c - int(_count_distinct(rng.integers(0, c, size=b, dtype=_key_dtype(1, c)), 1, c))
 
 
 def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator) -> np.ndarray:
     """Independent EmpBox(balls[j], boxes) draws sharing one box count.
 
-    Throws all balls with one ``rng.integers`` call, so the stream is the
-    same as for one draw per row, and offsets draw j's boxes by j * boxes
-    before counting the distinct keys of each draw.  O(total) memory, at
-    most about 16 B per ball at peak, for total = sum(balls); the result has
-    the shape of `balls`.
+    Throws the balls in chunks of about _CHUNK_BALLS, cut only between draws;
+    each chunk is one ``rng.integers`` call, whose integers are those of one
+    call over all balls, so the stream is the same as for one draw per row.
+    Draw j of a chunk has its boxes offset by j * boxes before each draw's
+    distinct keys are counted.  Memory is O(draws) for the result plus at
+    most about 17 B per ball of one chunk, or of the largest draw when that
+    is larger; the result has the shape of `balls`.
     """
     balls = np.asarray(balls, dtype=np.int64)
     if boxes < 1:
         raise ValueError("boxes must be >= 1")
     flat = balls.ravel()
-    total = int(flat.sum())
-    if total == 0:
-        return np.full(balls.shape, boxes, dtype=np.int64)
-    keys = rng.integers(0, boxes, size=total)
-    if flat.size > 1:
-        # int32 offsets when they fit: a 4 B rather than 8 B temporary per ball.
-        step = np.int32 if flat.size * boxes < 2**31 else np.int64
-        keys += np.repeat(np.arange(flat.size, dtype=step) * boxes, flat)
-    return boxes - np.reshape(_count_distinct(keys, flat.size, boxes), balls.shape)
+    if flat.size and flat.min() < 0:
+        raise ValueError("balls must be >= 0")
+    out = np.full(flat.size, boxes, dtype=np.int64)
+    ends = np.cumsum(flat)
+    start = 0
+    while start < flat.size:
+        thrown = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, thrown + _CHUNK_BALLS, side="right")))
+        total, draws = int(ends[stop - 1]) - thrown, stop - start
+        if total:
+            keys = rng.integers(0, boxes, size=total, dtype=_key_dtype(draws, boxes))
+            if draws > 1:
+                keys += np.repeat(np.arange(draws, dtype=keys.dtype) * boxes, flat[start:stop])
+            out[start:stop] -= _count_distinct(keys, draws, boxes)
+        start = stop
+    return out.reshape(balls.shape)
 
 
 def sample_binomial(n: int, q: float, rng: np.random.Generator) -> int:

@@ -240,6 +240,47 @@ class TestExperiment:
         assert res.stderr.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--kind", "moments", "--n", "5000,7000", "--reps", "400"],
+             "moments does not read n_values, got (5000, 7000)"),
+            (["--kind", "fig1", "--n", "50"], "fig1 does not read n_values, got (50,)"),
+            (["--kind", "fig3", "--p", "0.3"], "fig3 does not read p_values, got (0.3,)"),
+            (["--kind", "peak", "--p", "0.3,0.6"], "peak does not read p_values, got (0.3, 0.6)"),
+            (["--kind", "final", "--tmax", "5"], "final does not read t_max, got 5"),
+            (["--kind", "phase", "--model", "geom", "--tmax", "5"], "phase does not read t_max, got 5"),
+            (["--kind", "moments", "--tmax", "5", "--reps", "400"], "moments does not read t_max, got 5"),
+            (["--kind", "fig1", "--tmax", "5"], "fig1 does not read t_max, got 5"),
+            (["--kind", "fig3", "--tmax", "0"], "fig3 does not read t_max, got 0"),
+            (["--kind", "peak", "--tmax", "5"], "peak does not read t_max, got 5"),
+        ],
+    )
+    def test_unread_input_exit_2(self, args, message):
+        res = run_cli("experiment", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: {message}"]
+
+    def test_unread_input_in_config_file_exit_2(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kind=fig3\nn=100\np=0.9\n")
+        res = run_cli("experiment", "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == ["error: fig3 does not read p_values, got (0.9,)"]
+
+    def test_unread_input_at_default_accepted(self):
+        # Seed, model and reps are accepted by every kind, and an unread
+        # input given at its default value changes nothing.
+        direct = run_cli("experiment", "--kind", "fig3", "--n", "100", "--seed", "4")
+        padded = run_cli(
+            "experiment", "--kind", "fig3", "--n", "100", "--seed", "4", "--p", "0.5",
+            "--tmax", "20", "--model", "geom", "--reps", "3",
+        )
+        assert direct.returncode == padded.returncode == 0
+        # The rows match; the config header records the different model and reps.
+        assert padded.stdout.splitlines()[2:] == direct.stdout.splitlines()[2:]
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["--kind", "lln", "--model", "geom", "--p", "0.7", "--n", "50,80", "--tmax", "6", "--reps", "5"],

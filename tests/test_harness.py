@@ -6,6 +6,7 @@ import pytest
 
 from frogsim.chain import ChainState, ModelParams
 from frogsim.harness import (
+    KINDS,
     ExperimentConfig,
     fig1_data,
     fig3_data,
@@ -51,6 +52,21 @@ class TestConfig:
         ExperimentConfig(kind="fig1", replications=1)
         ExperimentConfig(kind="phase", p_values=(0.3, 0.6))
         ExperimentConfig(kind="final", n_values=(20, 30))
+
+
+    def test_rejects_inputs_kind_does_not_read(self):
+        for kwargs in (
+            dict(kind="moments", n_values=(5000,), replications=400),
+            dict(kind="fig1", n_values=(50,)),
+            dict(kind="fig3", p_values=(0.3,)),
+            dict(kind="peak", p_values=(0.3,)),
+            *(dict(kind=kind, t_max=5, replications=400) for kind in KINDS if kind != "lln"),
+        ):
+            with pytest.raises(ValueError, match=f"{kwargs['kind']} does not read"):
+                ExperimentConfig(**kwargs)
+        for kind in KINDS:
+            ExperimentConfig(kind=kind, model="geometric", replications=400, seed=9, t_max=20,
+                             p_values=(0.5,), n_values=(100,))
 
 
 class TestSerialization:

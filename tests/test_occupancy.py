@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import frogsim.occupancy as occupancy
 from frogsim.occupancy import (
     EXACT_PMF_CAP,
     OccupancySpec,
@@ -135,7 +136,7 @@ class TestEmpboxSampler:
             lo = max(0, c - b)
             for _ in range(200):
                 x = sample_empbox(OccupancySpec(b, c), rng)
-                assert lo <= x <= c
+                assert lo <= x <= c - 1
 
     def test_chi_square_against_pmf(self):
         rng = np.random.default_rng(2)
@@ -241,6 +242,51 @@ class TestEmpboxCount:
         finally:
             tracemalloc.stop()
         assert peak < 18 * draws * balls
+
+
+class TestEmpboxChunks:
+    """Chunked throwing draws the same integers as one call over all balls."""
+
+    @pytest.mark.parametrize(
+        "balls,boxes",
+        [
+            ([2, 3, 1, 4, 2, 6, 1], 7),  # odd cut points: chunks of 5, 5, 2, 6 and 1 balls
+            ([1, 23, 2], 50),  # a single draw larger than a chunk is a chunk by itself
+            ([0, 5, 0, 0, 5, 0, 3, 0], 6),  # zero-ball draws at the chunk edges
+            ([[0, 4, 3], [9, 0, 2]], 10**3),  # 2-D balls
+            ([3] * 30, 2**27),  # int32 keys in one-draw chunks; unchunked, int64
+            ([1, 2, 0, 2, 4], 2**30 + 3),  # int64 keys in a chunk of four draws, int32 in one
+        ],
+    )
+    def test_tiny_chunks_match_unchunked_and_unique(self, monkeypatch, balls, boxes):
+        rng_whole, rng_chunked = np.random.default_rng(21), np.random.default_rng(21)
+        whole = sample_empbox_batch(balls, boxes, rng_whole)
+        monkeypatch.setattr(occupancy, "_CHUNK_BALLS", 5)
+        chunked = sample_empbox_batch(balls, boxes, rng_chunked)
+        assert chunked.shape == np.shape(balls)
+        assert (chunked == whole).all()
+        assert (chunked == _unique_reference(balls, boxes, 21)).all()
+        # Both consumed the same stream, so the next draws agree too.
+        assert rng_whole.integers(2**62) == rng_chunked.integers(2**62)
+
+    @pytest.mark.parametrize("boxes", [100, 10**4], ids=["mask", "sort"])
+    def test_peak_memory_bounded_in_balls(self, boxes):
+        # From 4 to 16 chunks of balls, the peak grows by the O(draws) arrays
+        # alone, not by the balls: the keys live one chunk at a time.
+        per_draw = 64
+        peaks, draws = [], []
+        for chunks in (4, 16):
+            counts = np.full(chunks * occupancy._CHUNK_BALLS // per_draw, per_draw)
+            rng = np.random.default_rng(14)
+            tracemalloc.start()
+            try:
+                sample_empbox_batch(counts, boxes, rng)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            draws.append(counts.size)
+        assert peaks[1] - peaks[0] <= 24 * (draws[1] - draws[0])
+        assert peaks[1] < 24 * draws[1] + 20 * occupancy._CHUNK_BALLS
 
 
 class TestBinomialSampler:

@@ -1,7 +1,9 @@
-"""Property-based checks: chain invariants, the two EmpBox entry points, and
-the `experiment` command's exit codes on generated argument lists."""
+"""Property-based checks: chain invariants, the two EmpBox entry points and
+their support, and the `experiment` command's exit codes on generated
+argument lists."""
 
 import contextlib
+import dataclasses
 import io
 
 import numpy as np
@@ -44,9 +46,31 @@ def test_batch_of_one_equals_scalar_empbox(balls, boxes, seed):
     assert rng_scalar.integers(2**62) == rng_batch.integers(2**62)
 
 
+@SETTINGS
+@given(
+    balls=st.lists(st.integers(0, 300), min_size=1, max_size=6),
+    boxes=st.integers(1, 2**32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_empbox_support(balls, boxes, seed):
+    # max(c - b, 0) <= X <= c - 1 for b >= 1 balls, and X = c for none.
+    rng = np.random.default_rng(seed)
+    batch = sample_empbox_batch(np.array(balls), boxes, rng)
+    scalar = [sample_empbox(OccupancySpec(b, boxes), rng) for b in balls]
+    for b, x, y in zip(balls, batch.tolist(), scalar):
+        for v in (x, y):
+            if b == 0:
+                assert v == boxes
+            else:
+                assert max(boxes - b, 0) <= v <= boxes - 1
+
+
 def _grid(values):
     """Comma-joined grids of 0-3 items, empty items included, so "," occurs."""
     return st.lists(st.sampled_from(values), max_size=3).map(",".join)
+
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)}
 
 
 @SETTINGS
@@ -54,15 +78,17 @@ def _grid(values):
     kind=st.sampled_from(harness.KINDS + ("bogus",)),
     model=st.sampled_from(["geom", "nongeom", None]),
     p=st.one_of(st.none(), _grid(["", "0", "0.5", "0.9", "1", "1.5", "x"])),
-    n=st.one_of(st.none(), _grid(["", "2", "3", "12", "x"])),
+    n=st.one_of(st.none(), _grid(["", "2", "3", "12", "100", "x"])),
     reps=st.sampled_from([None, "0", "1", "3", "400", "x"]),
-    tmax=st.sampled_from([None, "0", "4"]),
+    tmax=st.sampled_from([None, "0", "4", "20"]),
 )
 def test_experiment_exits_0_or_2(kind, model, p, n, reps, tmax):
     argv = ["experiment", "--kind", kind, "--seed", "5"]
+    given_flags = {}
     for flag, value in (("--model", model), ("--p", p), ("--n", n), ("--reps", reps), ("--tmax", tmax)):
         if value is not None:
             argv += [flag, value]
+            given_flags[flag] = value
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -70,3 +96,12 @@ def test_experiment_exits_0_or_2(kind, model, p, n, reps, tmax):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().strip(), argv
+    for flag in ("--p", "--n", "--tmax"):
+        field, parse = cli._EXPERIMENT_INPUTS[flag[2:]]
+        unread = kind in harness.KINDS and field not in harness._DISPATCH[kind][1]
+        # An input the kind does not read runs only at its default value, and
+        # a rejection names an unread input that was given another value.
+        if code == 0 and unread and flag in given_flags:
+            assert parse(given_flags[flag]) == _DEFAULTS[field], argv
+        if f"does not read {field}," in err.getvalue():
+            assert unread and parse(given_flags[flag]) != _DEFAULTS[field], argv
