@@ -95,6 +95,8 @@ def det_step(s: DetState, kind: str, p: float | None = None) -> DetState:
 
 def det_orbit(n: int, kind: str, t_max: int, p: float | None = None) -> list[DetState]:
     """Orbit from det_initial(n) for t = 0..t_max."""
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
     states = [det_initial(n)]
     for _ in range(t_max):
         states.append(det_step(states[-1], kind, p))

@@ -16,14 +16,19 @@ Every run is identified by (config, master seed).  Replication `rep` of
 cell `cell` draws from its own stream, `chain.replication_rng(seed, cell,
 rep)`, so output files are byte-identical across runs.
 
-lln, final and phase hand their replications to one function, `_replicate`,
-which returns `fn(rng)` for every replication of a cell in rep order.  At
-N >= _THREAD_MIN_N it runs them on one thread per usable CPU (the affinity
-mask, so `taskset` limits them), at most one per replication: a step there
-is dominated by NumPy work that releases the GIL.  Below that threshold the
-short Python steps only trade the GIL, so it runs a plain loop.  Streams are
-per replication, the chain functions share no mutable state and results are
-gathered in rep order, so the output bytes do not depend on the threads.
+One driver, `_map_in_order`, runs every stochastic kind's independent work:
+`fn(key)` for each key, in key order, on one thread per usable CPU (the
+affinity mask, so `taskset` limits them) when asked, else in a plain loop.
+Threads pay only where the work is mostly NumPy calls that release the GIL;
+for short Python steps they only trade the GIL.  Each caller decides from its
+input, never from the CPU count:
+  lln, final and phase  a cell's replications (`_replicate`), at N >= _THREAD_MIN_N
+  moments               the panel cells, at draws >= _AUDIT_THREAD_MIN_DRAWS;
+                        a cell's samples are drawn and reduced to its z rows in
+                        its own task, so only one cell per thread is in memory
+Every task draws from its own stream, the chain and occupancy functions share
+no mutable state, and results are gathered in key order, so the output bytes
+do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ VERSION = f"frogsim-{__version__}"
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
 _THREAD_MIN_N = 2**18  # smallest N threaded; 2 threads lose to 1 below about 1e5-3e5
+_AUDIT_THREAD_MIN_DRAWS = 3000  # fewest audit draws threaded; 2 threads break even with 1 near 2000
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,8 @@ class ExperimentConfig:
             raise ValueError("all n values must be >= 3")
         if any(not 0.0 <= p <= 1.0 for p in self.p_values):
             raise ValueError("all p values must be in [0, 1]")
+        if self.t_max < 0:
+            raise ValueError("t_max must be >= 0")
         reads = _DISPATCH[self.kind][1]
         for f in fields(self):
             value = getattr(self, f.name)
@@ -145,24 +153,28 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _replicate(cfg: ExperimentConfig, cell: int, n: int, fn) -> list:
-    """`fn(rng)` for each replication of `cell`, in rep order.
+def _map_in_order(fn, keys, threaded: bool) -> list:
+    """`fn(key)` for each key, in key order.
 
-    Threads serve only cells with N >= _THREAD_MIN_N; the module docstring
-    says why the output does not depend on their number.
+    With `threaded`, on min(usable CPUs, len(keys)) threads; otherwise, or
+    with one CPU, in a plain loop on the calling thread.
     """
-
-    def one(rep):
-        return fn(chain.replication_rng(cfg.seed, cell, rep))
-
-    reps = range(cfg.replications)
-    workers = min(_usable_cpus(), cfg.replications) if n >= _THREAD_MIN_N else 1
-    if workers == 1:
-        return [one(rep) for rep in reps]
+    workers = min(_usable_cpus(), len(keys)) if threaded else 1
+    if workers <= 1:
+        return [fn(key) for key in keys]
     from concurrent.futures import ThreadPoolExecutor  # lazy: keeps CLI start-up short
 
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(one, reps))
+        return list(pool.map(fn, keys))
+
+
+def _replicate(cfg: ExperimentConfig, cell: int, n: int, fn) -> list:
+    """`fn(rng)` for each replication of `cell`, in rep order; threaded at N >= _THREAD_MIN_N."""
+    return _map_in_order(
+        lambda rep: fn(chain.replication_rng(cfg.seed, cell, rep)),
+        range(cfg.replications),
+        n >= _THREAD_MIN_N,
+    )
 
 
 def _absorption_runs(cfg: ExperimentConfig, cell: int, params: chain.ModelParams):
@@ -319,14 +331,19 @@ def moment_panel(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[
 
 
 def moment_audit(cfg: ExperimentConfig) -> RunSummary:
-    """Standardized deviations of Monte Carlo one-step moments vs the oracles."""
+    """Standardized deviations of Monte Carlo one-step moments vs the oracles.
+
+    Cell `cell` of the panel draws from `replication_rng(seed, cell, 0)`; the
+    cells run through `_map_in_order`, threaded at draws >= _AUDIT_THREAD_MIN_DRAWS.
+    """
     panel_rng = chain.replication_rng(cfg.seed, 999)
     panel = moment_panel(cfg, panel_rng)
     oracle = (
         chain.moments_geometric if cfg.model == chain.GEOMETRIC else chain.moments_nongeometric
     )
-    rows = []
-    for cell, (state, params) in enumerate(panel):
+
+    def cell_rows(cell):
+        state, params = panel[cell]
         rng = chain.replication_rng(cfg.seed, cell, 0)
         mom = oracle(state, params)
         samples = one_step_samples(state, params, cfg.replications, rng)
@@ -335,6 +352,7 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
             (mom.e_active, mom.var_active),
             (mom.e_dead, mom.var_dead),
         ]
+        rows = []
         for comp, x, (e_th, v_th) in zip(("unvisited", "active", "dead"), samples, analytic):
             x = x.astype(float)
             se_mean = x.std(ddof=1) / np.sqrt(x.size)
@@ -362,8 +380,13 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
                     z_var,
                 ]
             )
+        return rows
+
+    per_cell = _map_in_order(
+        cell_rows, range(len(panel)), cfg.replications >= _AUDIT_THREAD_MIN_DRAWS
+    )
     cols = ["model", "n", "p", "unvisited", "active", "dead", "component", "z_mean", "z_var"]
-    return _finish(cfg, cols, rows)
+    return _finish(cfg, cols, [row for rows in per_cell for row in rows])
 
 
 def fig1_data(cfg: ExperimentConfig) -> RunSummary:
@@ -408,5 +431,6 @@ KINDS = tuple(_DISPATCH)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunSummary:
-    """Run `cfg`; lln, final and phase use a thread per usable CPU at large N."""
+    """Run `cfg`; lln, final and phase at large N, and moments at many draws,
+    use a thread per usable CPU (module docstring)."""
     return _DISPATCH[cfg.kind][0](cfg)

@@ -9,8 +9,9 @@ must use the sampler instead.
 The sampler is exact: `sample_empbox` (one draw) and `sample_empbox_batch`
 (many) throw the balls with ``rng.integers`` and count each draw's distinct
 boxes.  The batch throws its balls in chunks of about _CHUNK_BALLS, cut only
-between draws, so its memory is O(draws) plus one chunk (a draw with more
-balls than a chunk is a chunk by itself).  Keys are int32 whenever every key
+between draws, so a call's memory is O(draws) plus one chunk (a draw with more
+balls than a chunk is a chunk by itself), and calls on several threads hold
+one chunk each.  Keys are int32 whenever every key
 of a chunk fits (`_key_dtype`), int64 otherwise.  Consecutive calls draw the
 same integers as one call, and int32 the same as int64, so neither the
 chunking nor the key type nor the count method touches the random stream.
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 EXACT_PMF_CAP = 64
-_CHUNK_BALLS = 2**18  # balls per rng.integers call of sample_empbox_batch
+_CHUNK_BALLS = 2**16  # balls per rng.integers call of sample_empbox_batch
 
 
 class PmfUnavailableError(ValueError):
@@ -143,9 +144,9 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
     each chunk is one ``rng.integers`` call, whose integers are those of one
     call over all balls, so the stream is the same as for one draw per row.
     Draw j of a chunk has its boxes offset by j * boxes before each draw's
-    distinct keys are counted.  Memory is O(draws) for the result plus at
-    most about 17 B per ball of one chunk, or of the largest draw when that
-    is larger; the result has the shape of `balls`.
+    distinct keys are counted.  Memory per call, so per thread, is O(draws)
+    for the result plus at most about 17 B per ball of one chunk, or of the
+    largest draw when that is larger; the result has the shape of `balls`.
     """
     balls = np.asarray(balls, dtype=np.int64)
     if boxes < 1:

@@ -102,6 +102,12 @@ class TestDet:
         assert res.stdout == ""
         assert res.stderr.splitlines() == [f"error: alpha_tol must be finite and > 0, got {tol}"]
 
+    def test_negative_tmax_exit_2(self):
+        res = run_cli("det", "--model", "nongeom", "--n", "100", "--tmax", "-1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: t_max must be >= 0"]
+
     def test_orbit_full_precision(self):
         res = run_cli("det", "--model", "nongeom", "--n", "3", "--tmax", "2")
         row = res.stdout.splitlines()[2].split(",")
@@ -201,6 +207,13 @@ class TestExperiment:
         assert len(res.stderr.splitlines()) == 1
         assert res.stderr.startswith(f"error: {kind} needs replications >= ")
 
+    def test_negative_tmax_exit_2(self):
+        res = run_cli("experiment", "--kind", "lln", "--model", "geom", "--p", "0.6",
+                      "--n", "100", "--tmax", "-1", "--reps", "5", "--seed", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: t_max must be >= 0"]
+
     def test_phase_reports_capped_runs(self):
         res = run_cli(
             "experiment", "--kind", "phase", "--model", "geom", "--p", "1.0",
@@ -286,26 +299,35 @@ class TestExperiment:
             ["--kind", "lln", "--model", "geom", "--p", "0.7", "--n", "50,80", "--tmax", "6", "--reps", "5"],
             ["--kind", "final", "--model", "nongeom", "--n", "40,60", "--reps", "7"],
             ["--kind", "phase", "--model", "geom", "--p", "0.3,0.8", "--n", "60", "--reps", "4"],
+            ["--kind", "moments", "--model", "geom", "--p", "0.6", "--reps", "400"],
+            ["--kind", "moments", "--model", "nongeom", "--p", "0.6", "--reps", "400"],
         ],
-        ids=["lln", "final", "phase"],
+        ids=["lln", "final", "phase", "moments-geom", "moments-nongeom"],
     )
     def test_jobs_threaded_output_identical(self, tmp_path, monkeypatch, args):
-        # Lower the N threshold so these small cells take the threaded path,
-        # and stand in 1, 2 and 3 usable CPUs for the affinity mask.
+        # Lower the N and draws thresholds so these small cells take the
+        # threaded path, and stand in 1, 2 and 3 usable CPUs for the affinity
+        # mask.  The spies record the threads that ran a replication or an
+        # audit cell.
         import threading
 
         from frogsim import chain, cli, harness
 
         monkeypatch.setattr(harness, "_THREAD_MIN_N", 0)
+        monkeypatch.setattr(harness, "_AUDIT_THREAD_MIN_DRAWS", 0)
         threads = set()
-        for name in ("simulate_trajectory", "run_to_absorption"):
-            real = getattr(chain, name)
+        for module, name in (
+            (chain, "simulate_trajectory"),
+            (chain, "run_to_absorption"),
+            (harness, "one_step_samples"),
+        ):
+            real = getattr(module, name)
 
             def spy(*a, _real=real):
                 threads.add(threading.get_ident())
                 return _real(*a)
 
-            monkeypatch.setattr(chain, name, spy)
+            monkeypatch.setattr(module, name, spy)
         outputs = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # frequent thread switches expose any shared state

@@ -109,6 +109,11 @@ class TestOrbitInvariants:
         for s in orbit:
             assert abs(s.iota - i0 * math.exp(-phi(p) * s.delta)) <= 1e-10
 
+    def test_orbit_rejects_negative_tmax(self):
+        assert len(det_orbit(10, NONGEOMETRIC, 0)) == 1
+        with pytest.raises(ValueError, match="t_max must be >= 0"):
+            det_orbit(10, NONGEOMETRIC, -1)
+
 
 class TestPhi:
     @pytest.mark.parametrize("p,expect", [(0.5, 1.0), (2 / 3, 2.0), (0.6, 1.5)])

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from frogsim import harness, occupancy
 from frogsim.chain import ChainState, ModelParams
 from frogsim.harness import (
     KINDS,
@@ -48,6 +50,8 @@ class TestConfig:
                 ExperimentConfig(kind=kind, p_values=(0.3, 0.6), replications=400)
         with pytest.raises(ValueError, match="takes one n value"):
             ExperimentConfig(kind="phase", n_values=(20, 30))
+        with pytest.raises(ValueError, match="t_max must be >= 0"):
+            ExperimentConfig(kind="lln", t_max=-1)
         ExperimentConfig(kind="moments", replications=400)
         ExperimentConfig(kind="fig1", replications=1)
         ExperimentConfig(kind="phase", p_values=(0.3, 0.6))
@@ -179,6 +183,23 @@ class TestMomentAudit:
             d = dict(zip(s.columns, row))
             if d["active"] == 0:
                 assert d["z_mean"] == 0.0 and d["z_var"] == 0.0
+
+    def test_threaded_peak_memory_one_cell_per_worker(self, monkeypatch):
+        # A worker reduces its cell's samples to z rows before it takes the
+        # next cell, so the peak grows with workers x one cell, never with the
+        # 54-cell panel.  One cell: its samples, binomials and temporaries in
+        # 64 B per draw, and one chunk of balls in 20 B per ball.
+        workers, draws = 3, 20_000
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+        cfg = ExperimentConfig(kind="moments", model="geometric", replications=draws, seed=2718)
+        assert draws >= harness._AUDIT_THREAD_MIN_DRAWS
+        tracemalloc.start()
+        try:
+            moment_audit(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < workers * (64 * draws + 20 * occupancy._CHUNK_BALLS)
 
     def test_one_step_samples_conservation(self):
         params = ModelParams(n=10, kind="geometric", p=0.6)
