@@ -23,9 +23,9 @@ Threads pay only where the work is mostly NumPy calls that release the GIL;
 for short Python steps they only trade the GIL.  Each caller decides from its
 input, never from the CPU count:
   lln, final and phase  a cell's replications (`_replicate`), at N >= _THREAD_MIN_N
-  moments               the panel cells, at draws >= _AUDIT_THREAD_MIN_DRAWS;
-                        a cell's samples are drawn and reduced to its z rows in
-                        its own task, so only one cell per thread is in memory
+  moments               the panel cells, always; a cell's samples are drawn and
+                        reduced to its z rows in its own task, so only one cell
+                        per thread is in memory
 Every task draws from its own stream, the chain and occupancy functions share
 no mutable state, and results are gathered in key order, so the output bytes
 do not depend on the number of threads.
@@ -48,7 +48,6 @@ VERSION = f"frogsim-{__version__}"
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
 _THREAD_MIN_N = 2**18  # smallest N threaded; 2 threads lose to 1 below about 1e5-3e5
-_AUDIT_THREAD_MIN_DRAWS = 3000  # fewest audit draws threaded; 2 threads break even with 1 near 2000
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,7 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
     """Standardized deviations of Monte Carlo one-step moments vs the oracles.
 
     Cell `cell` of the panel draws from `replication_rng(seed, cell, 0)`; the
-    cells run through `_map_in_order`, threaded at draws >= _AUDIT_THREAD_MIN_DRAWS.
+    cells run on threads through `_map_in_order`.
     """
     panel_rng = chain.replication_rng(cfg.seed, 999)
     panel = moment_panel(cfg, panel_rng)
@@ -382,9 +381,7 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
             )
         return rows
 
-    per_cell = _map_in_order(
-        cell_rows, range(len(panel)), cfg.replications >= _AUDIT_THREAD_MIN_DRAWS
-    )
+    per_cell = _map_in_order(cell_rows, range(len(panel)), True)
     cols = ["model", "n", "p", "unvisited", "active", "dead", "component", "z_mean", "z_var"]
     return _finish(cfg, cols, [row for rows in per_cell for row in rows])
 
@@ -431,6 +428,6 @@ KINDS = tuple(_DISPATCH)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunSummary:
-    """Run `cfg`; lln, final and phase at large N, and moments at many draws,
-    use a thread per usable CPU (module docstring)."""
+    """Run `cfg`; lln, final and phase at large N, and moments always, use a
+    thread per usable CPU (module docstring)."""
     return _DISPATCH[cfg.kind][0](cfg)

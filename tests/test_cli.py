@@ -305,16 +305,15 @@ class TestExperiment:
         ids=["lln", "final", "phase", "moments-geom", "moments-nongeom"],
     )
     def test_jobs_threaded_output_identical(self, tmp_path, monkeypatch, args):
-        # Lower the N and draws thresholds so these small cells take the
-        # threaded path, and stand in 1, 2 and 3 usable CPUs for the affinity
-        # mask.  The spies record the threads that ran a replication or an
-        # audit cell.
+        # Lower the N threshold so these small cells take the threaded path
+        # (the audit always does), and stand in 1, 2 and 3 usable CPUs for
+        # the affinity mask.  The spies record the threads that ran a
+        # replication or an audit cell.
         import threading
 
         from frogsim import chain, cli, harness
 
         monkeypatch.setattr(harness, "_THREAD_MIN_N", 0)
-        monkeypatch.setattr(harness, "_AUDIT_THREAD_MIN_DRAWS", 0)
         threads = set()
         for module, name in (
             (chain, "simulate_trajectory"),

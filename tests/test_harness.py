@@ -192,7 +192,6 @@ class TestMomentAudit:
         workers, draws = 3, 20_000
         monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
         cfg = ExperimentConfig(kind="moments", model="geometric", replications=draws, seed=2718)
-        assert draws >= harness._AUDIT_THREAD_MIN_DRAWS
         tracemalloc.start()
         try:
             moment_audit(cfg)
