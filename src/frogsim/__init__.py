@@ -14,13 +14,11 @@ from .occupancy import (
 from .chain import (
     ChainState,
     ModelParams,
-    ScaledState,
     initial_state,
     moments_geometric,
     moments_nongeometric,
     replication_rng,
     run_to_absorption,
-    scale,
     simulate_trajectory,
     step_geometric,
     step_nongeometric,

@@ -51,13 +51,6 @@ class ChainState:
 
 
 @dataclass(frozen=True)
-class ScaledState:
-    i: float
-    a: float
-    d: float
-
-
-@dataclass(frozen=True)
 class OneStepMoments:
     """Closed-form conditional moments of the next state given the current one."""
 
@@ -192,12 +185,6 @@ def moments_nongeometric(state: ChainState, params: ModelParams) -> OneStepMomen
     cov_iz = (a * i / n) * r1 * (i - n) / (n - 1)
     var_a = var_i + var_d - 2.0 * cov_iz
     return OneStepMoments(e_i, e_a, e_d, var_i, var_a, var_d, cov_iz)
-
-
-def scale(state: ChainState, n: int) -> ScaledState:
-    """Scale the integer triple by N + 1 onto the probability simplex."""
-    m = n + 1
-    return ScaledState(state.unvisited / m, state.active / m, state.dead / m)
 
 
 def replication_rng(*key: int) -> np.random.Generator:

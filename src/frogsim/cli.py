@@ -57,16 +57,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_det(args) -> int:
-    kind = _MODEL[args.model]
-    p = args.p if kind == "geometric" else None
+    params = chain.ModelParams(n=args.n, kind=_MODEL[args.model], p=args.p)
+    p = params.p if params.kind == chain.GEOMETRIC else None
     if args.until_alpha is not None:
-        res = dynamics.iterate_limit(args.n, kind, p, alpha_tol=args.until_alpha)
+        res = dynamics.iterate_limit(args.n, params.kind, p, alpha_tol=args.until_alpha)
         print(
             f"iota_inf={format_value(res.iota_inf)} delta_inf={format_value(res.delta_inf)} "
             f"steps={res.steps_used} converged={format_value(res.converged)}"
         )
         return 0
-    states = dynamics.det_orbit(args.n, kind, args.tmax, p)
+    states = dynamics.det_orbit(args.n, params.kind, args.tmax, p)
     rows = [(s.t, s.iota, s.alpha, s.delta) for s in states]
     _emit(_table_text(["t", "iota", "alpha", "delta"], rows, args.format), args.out)
     return 0
@@ -172,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--model", choices=("geom", "nongeom"), required=True)
     p_det.add_argument("--n", type=int, required=True)
     p_det.add_argument("--p", type=float, default=1.0)
-    p_det.add_argument("--tmax", type=int, default=None)
-    p_det.add_argument("--until-alpha", type=float, default=None, dest="until_alpha")
+    length = p_det.add_mutually_exclusive_group(required=True)
+    length.add_argument("--tmax", type=int, default=None)
+    length.add_argument("--until-alpha", type=float, default=None, dest="until_alpha")
     add_common(p_det)
     p_det.set_defaults(func=cmd_det)
 
@@ -203,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "det" and args.tmax is None and args.until_alpha is None:
-            print("det: one of --tmax or --until-alpha is required", file=sys.stderr)
-            return 2
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -11,8 +11,10 @@ Nongeometric limit system:
 Both start from (N/(N+1), 1/(N+1), 0).
 
 The long-run unvisited fraction of the geometric system is the unique
-fixed point of tau_N(x) = (N/(N+1)) exp(-phi(p)(1-x)) in [0, 1), and its
-large-N limit has the Lambert W0 closed form implemented here.
+fixed point of tau_N(x) = (N/(N+1)) exp(-phi(p)(1-x)) in [0, 1), with
+phi(p) = p/(1-p).  Both it and its large-N limit have Lambert W0 closed forms:
+    iota_inf_N = -W0(-phi (N/(N+1)) exp(-phi)) / phi
+    iota_inf   = -W0(-phi exp(-phi)) / phi  for p > 1/2, and 1 for p <= 1/2.
 """
 
 from __future__ import annotations
@@ -93,14 +95,20 @@ def det_step(s: DetState, kind: str, p: float | None = None) -> DetState:
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+def _orbit(n: int, kind: str, p: float | None, alpha_tol: float, max_steps: float):
+    """det_initial(n), then one det_step at a time, while alpha >= alpha_tol and t < max_steps."""
+    s = det_initial(n)
+    yield s
+    while s.alpha >= alpha_tol and s.t < max_steps:
+        s = det_step(s, kind, p)
+        yield s
+
+
 def det_orbit(n: int, kind: str, t_max: int, p: float | None = None) -> list[DetState]:
     """Orbit from det_initial(n) for t = 0..t_max."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    states = [det_initial(n)]
-    for _ in range(t_max):
-        states.append(det_step(states[-1], kind, p))
-    return states
+    return list(_orbit(n, kind, p, -math.inf, t_max))
 
 
 def iterate_limit(
@@ -117,15 +125,12 @@ def iterate_limit(
     """
     if not 0 < alpha_tol < math.inf:
         raise ValueError(f"alpha_tol must be finite and > 0, got {alpha_tol}")
-    s = det_initial(n)
-    steps = 0
-    while s.alpha >= alpha_tol and steps < max_steps:
-        s = det_step(s, kind, p)
-        steps += 1
+    for s in _orbit(n, kind, p, alpha_tol, max_steps):
+        pass
     return LimitResult(
         iota_inf=s.iota,
         delta_inf=s.delta,
-        steps_used=steps,
+        steps_used=s.t,
         converged=s.alpha < alpha_tol,
     )
 
@@ -177,45 +182,25 @@ def lambert_w0(x: float) -> float:
     return w
 
 
+def _least_root(f: float, s: float) -> float:
+    """Least root in [0, 1] of x = s exp(-f (1 - x)), for f > 0 and 0 < s <= 1."""
+    return -lambert_w0(-f * s * math.exp(-f)) / f
+
+
 def iota_infinity(p: float) -> float:
     """Large-N limit of the geometric long-run unvisited fraction."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     if p <= 0.5:
         return 1.0
-    f = phi(p)
-    return -lambert_w0(-f * math.exp(-f)) / f
+    return _least_root(phi(p), 1.0)
 
 
-def fixed_point_tauN(p: float, n: int, tol: float = 1e-13, max_iter: int = 10**6) -> float:
-    """Unique fixed point in [0, 1) of tau_N(x) = (N/(N+1)) exp(-phi(p)(1-x)).
-
-    Monotone iteration from 0 (tau_N is increasing and maps [0, 1] into
-    [0, N/(N+1)], so iterates increase to the least fixed point), with
-    Aitken delta-squared acceleration.
-    """
+def fixed_point_tauN(p: float, n: int) -> float:
+    """Unique fixed point in [0, 1) of tau_N(x) = (N/(N+1)) exp(-phi(p)(1-x))."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    f = phi(p)
-    scale = n / (n + 1)
-
-    def tau(x: float) -> float:
-        return scale * math.exp(-f * (1.0 - x))
-
-    x = 0.0
-    for _ in range(max_iter):
-        x1 = tau(x)
-        if abs(x1 - x) <= tol:
-            return x1
-        x2 = tau(x1)
-        d = x2 - 2.0 * x1 + x
-        if d != 0.0:
-            xa = x - (x1 - x) ** 2 / d
-            if 0.0 <= xa <= 1.0 and abs(tau(xa) - xa) < abs(x2 - x1):
-                x = xa
-                continue
-        x = x2
-    raise RuntimeError(f"fixed_point_tauN did not converge in {max_iter} iterations")
+    return _least_root(phi(p), n / (n + 1))
 
 
 def fixed_points_tau(p: float) -> tuple[float, ...]:
@@ -230,33 +215,13 @@ def fixed_points_tau(p: float) -> tuple[float, ...]:
 def alpha_peak_index(n: int, max_steps: int = 10**6) -> PeakResult:
     """Peak of the nongeometric active fraction and its unimodality check.
 
-    The orbit is run until alpha < DEFAULT_ALPHA_TOL; the sequence should
-    increase strictly up to a unique peak (weak inequality allowed at the
-    peak itself, resolved to the later index) and decrease strictly after.
+    The orbit is run until alpha < DEFAULT_ALPHA_TOL or max_steps; the
+    sequence should rise strictly up to the peak (the later index of a tie)
+    and fall strictly after it.
     """
-    alphas = []
-    s = det_initial(n)
-    alphas.append(s.alpha)
-    completed = False
-    for _ in range(max_steps):
-        s = det_step_nongeometric(s)
-        alphas.append(s.alpha)
-        if s.alpha < DEFAULT_ALPHA_TOL:
-            completed = True
-            break
-
+    alphas = [s.alpha for s in _orbit(n, NONGEOMETRIC, None, DEFAULT_ALPHA_TOL, max_steps)]
+    completed = alphas[-1] < DEFAULT_ALPHA_TOL
     peak = max(range(len(alphas)), key=lambda j: (alphas[j], j))
-    ok = True
-    for j in range(peak):
-        lo, hi = alphas[j], alphas[j + 1]
-        if j == peak - 1:
-            if not lo <= hi:
-                ok = False
-        elif not lo < hi:
-            ok = False
-    for j in range(peak, len(alphas) - 1):
-        if not alphas[j] > alphas[j + 1]:
-            ok = False
-    if not completed:
-        return PeakResult(index=peak, pattern_ok=False, completed=False)
-    return PeakResult(index=peak, pattern_ok=ok, completed=True)
+    rising = all(a < b for a, b in zip(alphas[: peak - 1], alphas[1:peak]))
+    falling = all(a > b for a, b in zip(alphas[peak:], alphas[peak + 1 :]))
+    return PeakResult(index=peak, pattern_ok=completed and rising and falling, completed=completed)

@@ -193,22 +193,14 @@ def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
     rows = []
     for cell, n in enumerate(cfg.n_values):
         params = _params(cfg, n, p)
-        orbit = dynamics.det_orbit(n, cfg.model, cfg.t_max, p)
+        states = dynamics.det_orbit(n, cfg.model, cfg.t_max, p)
+        orbit = np.array([(s.iota, s.alpha, s.delta) for s in states])
+        times = np.arange(cfg.t_max + 1)
 
         def deviation(rng):
             traj = chain.simulate_trajectory(params, cfg.t_max, rng)
-            dev = 0.0
-            for t in range(cfg.t_max + 1):
-                st = traj[t] if t < len(traj) else traj[-1]
-                sc = chain.scale(st, n)
-                det = orbit[t]
-                dev = max(
-                    dev,
-                    abs(sc.i - det.iota),
-                    abs(sc.a - det.alpha),
-                    abs(sc.d - det.delta),
-                )
-            return dev
+            counts = np.array([(s.unvisited, s.active, s.dead) for s in traj])
+            return float(np.abs(counts[np.minimum(times, len(traj) - 1)] / (n + 1) - orbit).max())
 
         devs = np.array(_replicate(cfg, cell, n, deviation), dtype=float)
         q05, q50, q95 = _quantiles(devs)

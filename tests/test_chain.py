@@ -14,7 +14,6 @@ from frogsim.chain import (
     moments_nongeometric,
     replication_rng,
     run_to_absorption,
-    scale,
     simulate_trajectory,
     step_geometric,
     step_nongeometric,
@@ -177,17 +176,6 @@ class TestTrajectoryPlumbing:
         final, absorbed = run_to_absorption(params, 5, rng)
         # p = 1 never kills particles, so absorption is impossible.
         assert not absorbed and final.t == 5
-
-
-class TestScale:
-    def test_initial_scaled(self):
-        s = scale(ChainState(3, 1, 0), 3)
-        assert (s.i, s.a, s.d) == (0.75, 0.25, 0.0)
-
-    def test_sums_to_one(self):
-        s = scale(ChainState(50, 30, 21), 100)
-        assert s.i + s.a + s.d == pytest.approx(1.0, abs=1e-12)
-        assert (s.i, s.a, s.d) == (50 / 101, 30 / 101, 21 / 101)
 
 
 class TestMomentsGeometric:

@@ -95,6 +95,19 @@ class TestDet:
         res = run_cli("det", "--model", "geom", "--p", "0.5", "--n", "3")
         assert res.returncode == 2
 
+    def test_tmax_and_until_alpha_exclusive(self):
+        res = run_cli("det", "--model", "nongeom", "--n", "100", "--tmax", "-3",
+                      "--until-alpha", "1e-12")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "not allowed with argument" in res.stderr
+
+    def test_p_out_of_range_exit_2(self):
+        res = run_cli("det", "--model", "nongeom", "--n", "5", "--p", "7", "--tmax", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: p must be in [0, 1], got 7.0"]
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_until_alpha_not_finite_exit_2(self, tol):
         res = run_cli("det", "--model", "geom", "--p", "0.8", "--n", "100", "--until-alpha", tol)

@@ -233,6 +233,15 @@ class TestFixedPoints:
             vals = [fixed_point_tauN(p, n) for n in (3, 10, 100, 1000, 10**4)]
             assert all(a <= b + 1e-13 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("p", [0.499, 0.5, 0.501])
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**8])
+    def test_tauN_against_high_precision_lambert_w(self, p, n):
+        # The least root of x = s exp(-f(1-x)) is -W0(-f s exp(-f)) / f.
+        f = mpmath.mpf(p) / (1 - mpmath.mpf(p))
+        s = mpmath.mpf(n) / (n + 1)
+        ref = -mpmath.lambertw(-f * s * mpmath.exp(-f)).real / f
+        assert abs(fixed_point_tauN(p, n) - float(ref)) <= 1e-11
+
     def test_tauN_converges_to_closed_form(self):
         for p in (0.55, 0.6, 0.8):
             assert abs(fixed_point_tauN(p, 10**8) - iota_infinity(p)) < 1e-6

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from frogsim import harness, occupancy
-from frogsim.chain import ChainState, ModelParams
+from frogsim.chain import ChainState, ModelParams, replication_rng, simulate_trajectory
+from frogsim.dynamics import det_orbit
 from frogsim.harness import (
     KINDS,
     ExperimentConfig,
@@ -105,6 +106,35 @@ class TestLln:
         s = lln_experiment(cfg)
         # Identical initial conditions: only float rounding of the scaling.
         assert s.rows[0][2] <= 1e-15
+
+    @pytest.mark.parametrize("model,p", [("geometric", 0.3), ("nongeometric", 1.0)])
+    def test_matches_per_step_loop_reference(self, model, p):
+        # Small N and a long t_max, so most runs are absorbed and held frozen.
+        cfg = ExperimentConfig(
+            kind="lln", model=model, p_values=(p,), n_values=(10, 40), t_max=60,
+            replications=20, seed=31,
+        )
+        rows = []
+        for cell, n in enumerate(cfg.n_values):
+            params = ModelParams(n=n, kind=model, p=p)
+            orbit = det_orbit(n, model, cfg.t_max, p)
+            devs = []
+            for rep in range(cfg.replications):
+                traj = simulate_trajectory(params, cfg.t_max, replication_rng(31, cell, rep))
+                dev = 0.0
+                for t, det in enumerate(orbit):
+                    st = traj[min(t, len(traj) - 1)]
+                    dev = max(
+                        dev,
+                        abs(st.unvisited / (n + 1) - det.iota),
+                        abs(st.active / (n + 1) - det.alpha),
+                        abs(st.dead / (n + 1) - det.delta),
+                    )
+                devs.append(dev)
+            devs = np.array(devs)
+            q = np.quantile(devs, [0.05, 0.5, 0.95])
+            rows.append([n, 20, devs.mean(), devs.std(ddof=1), *q])
+        assert lln_experiment(cfg).rows == rows
 
     def test_mean_deviation_decreases_in_n(self):
         cfg = ExperimentConfig(
