@@ -7,7 +7,8 @@ sufficient statistic, so no per-particle bookkeeping is needed.
 Geometric step: X ~ Binomial(A, p) survivors, Z ~ Binomial(X, I/N) of
 them pick unvisited vertices, I' ~ EmpBox(Z, I), A' = X + I - I'.
 Nongeometric step: Z ~ Binomial(A, I/N), I' ~ EmpBox(Z, I),
-A' = Z + I - I'.  In both, D' closes the sum to N + 1.
+A' = Z + I - I'.  In both, D' closes the sum to N + 1.  `transition` writes
+this law once; the scalar steps and the moment audit's batched draws call it.
 """
 
 from __future__ import annotations
@@ -78,11 +79,27 @@ def initial_state(params: ModelParams) -> ChainState:
     return ChainState(unvisited=params.n, active=1, dead=0, t=0)
 
 
+def transition(i: int, a: int, params: ModelParams, rng: np.random.Generator, binomial, empbox):
+    """The one step law from (I, A): (I', A', D', X, Z), with X = Z in the nongeometric model.
+
+    Its only draws are `binomial(m, q, rng)` and `empbox(balls, boxes, rng)`:
+    ints from the scalar steps, arrays from the moment audit.  I = 0 forces
+    Z = 0 = I', so `empbox` is called only for I > 0.
+    """
+    n = params.n
+    if params.kind == GEOMETRIC:
+        x = binomial(a, params.p, rng)
+        z = binomial(x, i / n, rng)
+    else:
+        x = z = binomial(a, i / n, rng)
+    i1 = empbox(z, i, rng) if i > 0 else z
+    a1 = x + i - i1
+    return i1, a1, n + 1 - i1 - a1, x, z
+
+
 def _resolve_empbox(z: int, boxes: int, rng: np.random.Generator) -> int:
-    # Zero balls (or no boxes left) leave the unvisited count untouched.
-    if z == 0 or boxes == 0:
-        return boxes
-    return sample_empbox(OccupancySpec(z, boxes), rng)
+    # Zero balls leave the unvisited count untouched.
+    return sample_empbox(OccupancySpec(z, boxes), rng) if z else boxes
 
 
 def step_geometric(
@@ -92,12 +109,9 @@ def step_geometric(
     if params.kind != GEOMETRIC:
         raise ValueError("step_geometric requires geometric params")
     validate_state(state, params)
-    n, i, a = params.n, state.unvisited, state.active
-    x = sample_binomial(a, params.p, rng)
-    z = sample_binomial(x, i / n, rng)
-    i1 = _resolve_empbox(z, i, rng)
-    a1 = x + i - i1
-    d1 = n + 1 - i1 - a1
+    i1, a1, d1, x, z = transition(
+        state.unvisited, state.active, params, rng, sample_binomial, _resolve_empbox
+    )
     return ChainState(i1, a1, d1, state.t + 1), (x, z)
 
 
@@ -108,11 +122,9 @@ def step_nongeometric(
     if params.kind != NONGEOMETRIC:
         raise ValueError("step_nongeometric requires nongeometric params")
     validate_state(state, params)
-    n, i, a = params.n, state.unvisited, state.active
-    z = sample_binomial(a, i / n, rng)
-    i1 = _resolve_empbox(z, i, rng)
-    a1 = z + i - i1
-    d1 = n + 1 - i1 - a1
+    i1, a1, d1, _x, z = transition(
+        state.unvisited, state.active, params, rng, sample_binomial, _resolve_empbox
+    )
     return ChainState(i1, a1, d1, state.t + 1), (z,)
 
 

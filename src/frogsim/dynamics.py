@@ -48,8 +48,8 @@ class LimitResult:
 class PeakResult:
     """Peak index of the nongeometric active fraction and pattern diagnosis.
 
-    completed is False when the orbit did not reach the alpha threshold
-    within max_steps, leaving pattern_ok undetermined.
+    completed is False when alpha had not fallen below the threshold within
+    max_steps, leaving pattern_ok undetermined.
     """
 
     index: int
@@ -95,20 +95,26 @@ def det_step(s: DetState, kind: str, p: float | None = None) -> DetState:
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+def _settled(prev: DetState, s: DetState, alpha_tol: float) -> bool:
+    """The limit's stop rule: alpha fell at the last step, to below alpha_tol."""
+    return s.alpha < min(prev.alpha, alpha_tol)
+
+
 def _orbit(n: int, kind: str, p: float | None, alpha_tol: float, max_steps: float):
-    """det_initial(n), then one det_step at a time, while alpha >= alpha_tol and t < max_steps."""
-    s = det_initial(n)
-    yield s
-    while s.alpha >= alpha_tol and s.t < max_steps:
-        s = det_step(s, kind, p)
-        yield s
+    """Pairs (previous, current) from (s0, s0), s0 = det_initial(n), one det_step at a time
+    until _settled or t = max_steps; alpha may start below alpha_tol and rise first."""
+    prev = s = det_initial(n)
+    yield prev, s
+    while not _settled(prev, s, alpha_tol) and s.t < max_steps:
+        prev, s = s, det_step(s, kind, p)
+        yield prev, s
 
 
 def det_orbit(n: int, kind: str, t_max: int, p: float | None = None) -> list[DetState]:
     """Orbit from det_initial(n) for t = 0..t_max."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    return list(_orbit(n, kind, p, -math.inf, t_max))
+    return [s for _, s in _orbit(n, kind, p, -math.inf, t_max)]
 
 
 def iterate_limit(
@@ -118,21 +124,17 @@ def iterate_limit(
     alpha_tol: float = DEFAULT_ALPHA_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> LimitResult:
-    """Iterate the limit system until alpha < alpha_tol or max_steps.
+    """Iterate the limit system until alpha has fallen below alpha_tol, or max_steps.
 
     Non-convergence is reported through the flag, not an exception: near
     p = 1/2 the geometric decay degrades to polynomial.
     """
     if not 0 < alpha_tol < math.inf:
         raise ValueError(f"alpha_tol must be finite and > 0, got {alpha_tol}")
-    for s in _orbit(n, kind, p, alpha_tol, max_steps):
+    for prev, s in _orbit(n, kind, p, alpha_tol, max_steps):
         pass
-    return LimitResult(
-        iota_inf=s.iota,
-        delta_inf=s.delta,
-        steps_used=s.t,
-        converged=s.alpha < alpha_tol,
-    )
+    return LimitResult(iota_inf=s.iota, delta_inf=s.delta, steps_used=s.t,
+                       converged=_settled(prev, s, alpha_tol))
 
 
 def phi(p: float) -> float:
@@ -215,12 +217,13 @@ def fixed_points_tau(p: float) -> tuple[float, ...]:
 def alpha_peak_index(n: int, max_steps: int = 10**6) -> PeakResult:
     """Peak of the nongeometric active fraction and its unimodality check.
 
-    The orbit is run until alpha < DEFAULT_ALPHA_TOL or max_steps; the
-    sequence should rise strictly up to the peak (the later index of a tie)
-    and fall strictly after it.
+    The orbit is run until alpha has fallen below DEFAULT_ALPHA_TOL, or
+    max_steps; the sequence should rise strictly up to the peak (the later
+    index of a tie) and fall strictly after it.
     """
-    alphas = [s.alpha for s in _orbit(n, NONGEOMETRIC, None, DEFAULT_ALPHA_TOL, max_steps)]
-    completed = alphas[-1] < DEFAULT_ALPHA_TOL
+    pairs = list(_orbit(n, NONGEOMETRIC, None, DEFAULT_ALPHA_TOL, max_steps))
+    alphas = [s.alpha for _, s in pairs]
+    completed = _settled(*pairs[-1], DEFAULT_ALPHA_TOL)
     peak = max(range(len(alphas)), key=lambda j: (alphas[j], j))
     rising = all(a < b for a, b in zip(alphas[: peak - 1], alphas[1:peak]))
     falling = all(a > b for a, b in zip(alphas[peak:], alphas[peak + 1 :]))

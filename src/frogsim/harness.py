@@ -272,22 +272,23 @@ def one_step_samples(
     draws: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized one-step sampling: `draws` i.i.d. next states (I', A', D')."""
-    n, i, a = params.n, state.unvisited, state.active
-    if params.kind == chain.GEOMETRIC:
-        x = rng.binomial(a, params.p, size=draws) if a > 0 else np.zeros(draws, dtype=np.int64)
-        z = rng.binomial(x, i / n) if i > 0 else np.zeros(draws, dtype=np.int64)
-        carrier = x
-    else:
-        z = rng.binomial(a, i / n, size=draws) if (a > 0 and i > 0) else np.zeros(draws, dtype=np.int64)
-        carrier = z
-    if i > 0:
-        i1 = sample_empbox_batch(z, i, rng)
-    else:
-        i1 = np.zeros(draws, dtype=np.int64)
-    a1 = carrier + i - i1
-    d1 = n + 1 - i1 - a1
-    return i1, a1, d1
+    """`draws` i.i.d. next states (I', A', D') of `chain.transition`, drawn as arrays.
+
+    numpy's binomial draws nothing at m = 0 or q = 0, as `sample_binomial` does,
+    but one double at q = 1, where `sample_binomial` draws none; so these draws
+    do not repeat the scalar step's stream.
+    """
+    return chain.transition(
+        state.unvisited, state.active, params, rng,
+        lambda m, q, rng: rng.binomial(m, q, size=draws), sample_empbox_batch,
+    )[:3]
+
+
+def _z(estimate: float, se: float, theory: float, tol: float) -> float:
+    """(estimate - theory) / se; a degenerate draw (se = 0) must agree within tol, z := 0."""
+    if se == 0.0:
+        return 0.0 if abs(estimate - theory) <= tol else float("inf")
+    return float((estimate - theory) / se)
 
 
 def _batched_variance(x: np.ndarray) -> tuple[float, float]:
@@ -343,34 +344,14 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
             (mom.e_active, mom.var_active),
             (mom.e_dead, mom.var_dead),
         ]
+        head = [params.kind, params.n, params.p, state.unvisited, state.active, state.dead]
         rows = []
         for comp, x, (e_th, v_th) in zip(("unvisited", "active", "dead"), samples, analytic):
             x = x.astype(float)
-            se_mean = x.std(ddof=1) / np.sqrt(x.size)
-            # Degenerate draws: require agreement up to float rounding, z := 0.
             tol = 1e-9 * max(1.0, abs(e_th))
-            if se_mean == 0.0:
-                z_mean = 0.0 if abs(x[0] - e_th) <= tol else float("inf")
-            else:
-                z_mean = float((x.mean() - e_th) / se_mean)
-            s2, se_var = _batched_variance(x)
-            if se_var == 0.0:
-                z_var = 0.0 if abs(s2 - v_th) <= tol else float("inf")
-            else:
-                z_var = float((s2 - v_th) / se_var)
-            rows.append(
-                [
-                    params.kind,
-                    params.n,
-                    params.p,
-                    state.unvisited,
-                    state.active,
-                    state.dead,
-                    comp,
-                    z_mean,
-                    z_var,
-                ]
-            )
+            z_mean = _z(x.mean(), x.std(ddof=1) / np.sqrt(x.size), e_th, tol)
+            z_var = _z(*_batched_variance(x), v_th, tol)
+            rows.append(head + [comp, z_mean, z_var])
         return rows
 
     per_cell = _map_in_order(cell_rows, range(len(panel)), True)

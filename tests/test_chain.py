@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from frogsim.chain import (
     step_geometric,
     step_nongeometric,
 )
+from frogsim.harness import one_step_samples
 from frogsim.occupancy import OccupancySpec, empbox_pmf
 
 
@@ -291,18 +293,18 @@ class TestOneStepLawEquivalence:
                 marginal[key] = marginal.get(key, 0.0) + pr
         draws = 40000
         rng = np.random.default_rng([17, len(kind), int(p * 100), n, state.unvisited])
-        counts = {}
         stepper = step_geometric if kind == GEOMETRIC else step_nongeometric
-        for _ in range(draws):
-            nxt, _aux = stepper(state, params, rng)
-            key = (nxt.unvisited, nxt.active)
-            counts[key] = counts.get(key, 0) + 1
+        scalar = [stepper(state, params, rng)[0] for _ in range(draws)]
+        # The moment audit's batched draws of the same transition, in one call.
+        i1, a1, _d1 = one_step_samples(state, params, draws, rng)
         keys = sorted(marginal)
         exp = np.array([marginal[k] * draws for k in keys])
-        obs = np.array([counts.get(k, 0) for k in keys])
         keep = exp >= 5
-        _, pval = scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())
-        assert pval > 0.001
+        for pairs in ([(s.unvisited, s.active) for s in scalar], zip(i1.tolist(), a1.tolist())):
+            counts = Counter(pairs)
+            obs = np.array([counts[k] for k in keys])
+            _, pval = scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())
+            assert pval > 0.001
 
 
 class TestMonteCarloMomentAgreement:

@@ -84,6 +84,13 @@ class TestDet:
 
         assert abs(val - fixed_point_tauN(0.3, 1000)) < 1e-9
 
+    def test_until_alpha_above_initial_alpha_waits_for_fall(self):
+        # alpha_0 = 1/101 is below 0.05; the limit is reached only after the peak.
+        res = run_cli("det", "--model", "nongeom", "--n", "100", "--until-alpha", "0.05")
+        assert res.returncode == 0
+        assert res.stdout.startswith("iota_inf=0.18253265520996562 ")
+        assert "steps=11 converged=true" in res.stdout
+
     def test_tmax_zero_initial_only(self):
         res = run_cli("det", "--model", "geom", "--p", "0.5", "--n", "3", "--tmax", "0")
         lines = res.stdout.splitlines()
@@ -176,6 +183,18 @@ class TestExperiment:
         assert len(rows) == 3
         for r in rows:
             assert 0.17 < float(r[1]) < 0.18
+
+    def test_fig3_and_peak_at_n_above_inverse_tolerance(self):
+        # At N = 1e13 the start alpha_0 = 1/(N+1) is below the default 1e-12.
+        n = "10000000000000"
+        fig3 = run_cli("experiment", "--kind", "fig3", "--n", n)
+        assert fig3.returncode == 0
+        row = fig3.stdout.splitlines()[3].split(",")
+        assert row[1] == "0.1745445407792918" and row[4] == "true"
+        assert int(row[3]) > 0
+        peak = run_cli("experiment", "--kind", "peak", "--n", n)
+        assert peak.returncode == 0
+        assert peak.stdout.splitlines()[3] == f"{n},43,true,true"
 
     def test_lln_smoke(self):
         res = run_cli(

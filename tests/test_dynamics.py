@@ -266,6 +266,24 @@ class TestIterateLimit:
         res = iterate_limit(1000, NONGEOMETRIC, alpha_tol=1e-12, max_steps=3)
         assert not res.converged and res.steps_used == 3
 
+    def test_start_below_tolerance_waits_for_alpha_to_fall(self):
+        # alpha_0 = 1/101 < 0.05, but alpha rises before it falls.
+        res = iterate_limit(100, NONGEOMETRIC, alpha_tol=0.05)
+        assert res.converged and res.steps_used == 11
+        assert res.iota_inf == pytest.approx(0.18253265520996562, abs=1e-12)
+
+    def test_start_below_default_tolerance_at_huge_n(self):
+        # alpha_0 = 1/(1e13 + 1) is below the default 1e-12.
+        res = iterate_limit(10**13, NONGEOMETRIC)
+        assert res.converged and res.steps_used > 0
+        assert res.iota_inf == pytest.approx(0.1745445407792918, abs=1e-12)
+        assert res.iota_inf == pytest.approx(iterate_limit(10**11, NONGEOMETRIC).iota_inf, abs=1e-6)
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 5])
+    def test_cap_before_alpha_falls_is_not_converged(self, max_steps):
+        res = iterate_limit(10**13, NONGEOMETRIC, max_steps=max_steps)
+        assert not res.converged and res.steps_used == max_steps
+
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.inf, math.nan])
     def test_rejects_tolerance_not_finite_positive(self, tol):
         with pytest.raises(ValueError, match="alpha_tol must be finite and > 0"):
@@ -287,4 +305,14 @@ class TestAlphaPeak:
 
     def test_incomplete_flagged(self):
         res = alpha_peak_index(1000, max_steps=3)
+        assert not res.completed and not res.pattern_ok
+
+    def test_start_below_tolerance_finds_the_peak(self):
+        res = alpha_peak_index(10**13)
+        assert res.completed and res.pattern_ok
+        assert res.index == 43
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 43])
+    def test_cap_before_alpha_falls_is_incomplete(self, max_steps):
+        res = alpha_peak_index(10**13, max_steps=max_steps)
         assert not res.completed and not res.pattern_ok
