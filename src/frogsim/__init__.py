@@ -28,8 +28,7 @@ from .dynamics import (
     LimitResult,
     alpha_peak_index,
     det_initial,
-    det_step_geometric,
-    det_step_nongeometric,
+    det_step,
     fixed_point_tauN,
     fixed_points_tau,
     iota_infinity,

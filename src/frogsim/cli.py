@@ -60,10 +60,13 @@ def cmd_det(args) -> int:
     params = chain.ModelParams(n=args.n, kind=_MODEL[args.model], p=args.p)
     p = params.p if params.kind == chain.GEOMETRIC else None
     if args.until_alpha is not None:
+        if args.format != "csv":
+            raise ValueError("--until-alpha writes one key=value line; --format json is for --tmax")
         res = dynamics.iterate_limit(args.n, params.kind, p, alpha_tol=args.until_alpha)
-        print(
+        _emit(
             f"iota_inf={format_value(res.iota_inf)} delta_inf={format_value(res.delta_inf)} "
-            f"steps={res.steps_used} converged={format_value(res.converged)}"
+            f"steps={res.steps_used} converged={format_value(res.converged)}\n",
+            args.out,
         )
         return 0
     states = dynamics.det_orbit(args.n, params.kind, args.tmax, p)
@@ -155,17 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_output(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=_default_seed())
 
     p_sim = sub.add_parser("simulate", help="sample one chain trajectory")
     p_sim.add_argument("--model", choices=("geom", "nongeom"), required=True)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--p", type=float, default=1.0)
     p_sim.add_argument("--tmax", type=int, required=True)
-    add_common(p_sim)
+    add_output(p_sim)
+    p_sim.add_argument("--seed", type=int, default=_default_seed())
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("det", help="run a deterministic orbit")
@@ -175,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     length = p_det.add_mutually_exclusive_group(required=True)
     length.add_argument("--tmax", type=int, default=None)
     length.add_argument("--until-alpha", type=float, default=None, dest="until_alpha")
-    add_common(p_det)
+    add_output(p_det)
     p_det.set_defaults(func=cmd_det)
 
     p_lim = sub.add_parser("limits", help="long-run unvisited-fraction limits")

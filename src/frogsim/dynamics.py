@@ -1,13 +1,11 @@
 """Deterministic limit systems of the two frog models and their long-run limits.
 
-Geometric limit system (discrete Kermack-McKendrick with rate p):
-    iota'  = iota * exp(-p * alpha)
-    alpha' = p * alpha + iota * (1 - exp(-p * alpha))
-    delta' = delta + (1 - p) * alpha
-Nongeometric limit system:
-    iota'  = iota * exp(-alpha)
-    alpha' = iota * (alpha + 1 - exp(-alpha))
-    delta' = delta + alpha * (1 - iota)
+Both limit systems take one step law, `det_step`, with e = 1 - exp(-lam):
+    iota'  = iota * (1 - e)
+    alpha' = x + iota * e
+    delta' = delta + alpha - x
+geometric (discrete Kermack-McKendrick with rate p): lam = x = p * alpha;
+nongeometric: lam = alpha, x = iota * alpha.
 Both start from (N/(N+1), 1/(N+1), 0).
 
 The long-run unvisited fraction of the geometric system is the unique
@@ -63,36 +61,20 @@ def det_initial(n: int) -> DetState:
     return DetState(n / (n + 1), 1 / (n + 1), 0.0, 0)
 
 
-def det_step_geometric(s: DetState, p: float) -> DetState:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    e = math.exp(-p * s.alpha)
-    return DetState(
-        iota=s.iota * e,
-        alpha=p * s.alpha + s.iota * (1.0 - e),
-        delta=s.delta + (1.0 - p) * s.alpha,
-        t=s.t + 1,
-    )
-
-
-def det_step_nongeometric(s: DetState) -> DetState:
-    e = math.exp(-s.alpha)
-    return DetState(
-        iota=s.iota * e,
-        alpha=s.iota * (s.alpha + 1.0 - e),
-        delta=s.delta + s.alpha * (1.0 - s.iota),
-        t=s.t + 1,
-    )
-
-
 def det_step(s: DetState, kind: str, p: float | None = None) -> DetState:
+    """One step of either limit system (module docstring): a vertex is hit at rate lam,
+    and x of the active fraction survives.  e = -expm1(-lam), as 1 - exp(-lam)
+    cancels at alpha_0 = 1/(N+1)."""
     if kind == GEOMETRIC:
-        if p is None:
-            raise ValueError("geometric stepper needs p")
-        return det_step_geometric(s, p)
-    if kind == NONGEOMETRIC:
-        return det_step_nongeometric(s)
-    raise ValueError(f"unknown model kind {kind!r}")
+        if p is None or not 0.0 <= p <= 1.0:
+            raise ValueError(f"geometric step needs p in [0, 1], got {p}")
+        lam = x = p * s.alpha
+    elif kind == NONGEOMETRIC:
+        lam, x = s.alpha, s.iota * s.alpha
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    e = -math.expm1(-lam)
+    return DetState(s.iota * (1.0 - e), x + s.iota * e, s.delta + s.alpha - x, s.t + 1)
 
 
 def _settled(prev: DetState, s: DetState, alpha_tol: float) -> bool:

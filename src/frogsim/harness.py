@@ -9,8 +9,9 @@ Experiment kinds:
   fig3    nongeometric long-run unvisited fraction vs N
   peak    nongeometric active-fraction peak index vs N
 
-`_DISPATCH` lists the inputs each kind reads; a p grid, N grid or t_max that
-its kind does not read must keep its default, or the config is rejected.
+`_DISPATCH` lists the inputs each kind reads and the one model of fig1, fig3
+and peak; an input its kind does not read must keep its default, and another
+model is rejected.
 
 Every run is identified by (config, master seed).  Replication `rep` of
 cell `cell` draws from its own stream, `chain.replication_rng(seed, cell,
@@ -53,7 +54,7 @@ _THREAD_MIN_N = 2**18  # smallest N threaded; 2 threads lose to 1 below about 1e
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    model: str = chain.NONGEOMETRIC
+    model: str | None = None  # the kind's own model (_DISPATCH), else nongeometric
     p_values: tuple[float, ...] = (0.5,)
     n_values: tuple[int, ...] = (100,)
     t_max: int = 20
@@ -63,8 +64,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        own_model = _DISPATCH[self.kind][2]
+        if self.model is None:
+            object.__setattr__(self, "model", own_model or chain.NONGEOMETRIC)
         if self.model not in (chain.GEOMETRIC, chain.NONGEOMETRIC):
             raise ValueError(f"unknown model {self.model!r}")
+        if own_model not in (None, self.model):
+            raise ValueError(f"{self.kind} computes the {own_model} model, got {self.model!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.kind in ("lln", "final", "phase") and self.replications < 2:
@@ -384,18 +390,17 @@ def peak_experiment(cfg: ExperimentConfig) -> RunSummary:
     return _finish(cfg, ["n", "peak_index", "pattern_ok", "completed"], rows)
 
 
-# Each kind's function and the inputs of _KIND_INPUTS it reads.  Every kind
-# accepts model, replications and seed; ExperimentConfig rejects a value other
-# than the default in an input its kind does not read.
-_KIND_INPUTS = ("p_values", "n_values", "t_max")
+# Each kind's function, the inputs of _KIND_INPUTS it reads, and the one model
+# it computes (None: either).  Every kind reads the seed.
+_KIND_INPUTS = ("p_values", "n_values", "t_max", "replications")
 _DISPATCH = {
-    "lln": (lln_experiment, ("p_values", "n_values", "t_max")),
-    "final": (final_fraction_experiment, ("p_values", "n_values")),
-    "phase": (phase_sweep, ("p_values", "n_values")),
-    "moments": (moment_audit, ("p_values",)),
-    "fig1": (fig1_data, ("p_values",)),
-    "fig3": (fig3_data, ("n_values",)),
-    "peak": (peak_experiment, ("n_values",)),
+    "lln": (lln_experiment, ("p_values", "n_values", "t_max", "replications"), None),
+    "final": (final_fraction_experiment, ("p_values", "n_values", "replications"), None),
+    "phase": (phase_sweep, ("p_values", "n_values", "replications"), None),
+    "moments": (moment_audit, ("p_values", "replications"), None),
+    "fig1": (fig1_data, ("p_values",), chain.GEOMETRIC),
+    "fig3": (fig3_data, ("n_values",), chain.NONGEOMETRIC),
+    "peak": (peak_experiment, ("n_values",), chain.NONGEOMETRIC),
 }
 KINDS = tuple(_DISPATCH)
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from test_dynamics import hp_orbit
 
 
 def run_cli(*args, env=None):
@@ -88,8 +89,41 @@ class TestDet:
         # alpha_0 = 1/101 is below 0.05; the limit is reached only after the peak.
         res = run_cli("det", "--model", "nongeom", "--n", "100", "--until-alpha", "0.05")
         assert res.returncode == 0
-        assert res.stdout.startswith("iota_inf=0.18253265520996562 ")
+        val = float(res.stdout.split("iota_inf=")[1].split()[0])
+        ref = hp_orbit(100, "nongeometric", alpha_tol=0.05)[-1][0]
+        assert val == pytest.approx(float(ref), rel=1e-14, abs=0)
         assert "steps=11 converged=true" in res.stdout
+
+    def test_until_alpha_at_n_where_one_minus_exp_cancels(self):
+        # alpha_0 = 1/(1e17 + 1) is below 1.1e-16, where 1 - exp(-alpha) rounds to 0.
+        res = run_cli("det", "--model", "nongeom", "--n", "100000000000000000",
+                      "--until-alpha", "1e-12")
+        assert res.returncode == 0
+        fields = dict(kv.split("=") for kv in res.stdout.split())
+        assert int(fields["steps"]) > 1 and fields["converged"] == "true"
+        assert float(fields["iota_inf"]) == pytest.approx(0.17454454, abs=1e-8)
+
+    def test_until_alpha_writes_out(self, tmp_path):
+        out = tmp_path / "limit.txt"
+        args = ["det", "--model", "nongeom", "--n", "100", "--until-alpha", "1e-12"]
+        res = run_cli(*args, "--out", str(out))
+        assert res.returncode == 0 and res.stdout == ""
+        assert out.read_text() == run_cli(*args).stdout
+        assert out.read_text().startswith("iota_inf=")
+
+    def test_until_alpha_json_exit_2(self):
+        res = run_cli("det", "--model", "nongeom", "--n", "100", "--until-alpha", "1e-12",
+                      "--format", "json")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+
+    def test_seed_not_accepted(self):
+        # The orbit is deterministic; a seed would be read by nothing.
+        res = run_cli("det", "--model", "nongeom", "--n", "100", "--tmax", "3", "--seed", "5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "unrecognized arguments: --seed 5" in res.stderr
 
     def test_tmax_zero_initial_only(self):
         res = run_cli("det", "--model", "geom", "--p", "0.5", "--n", "3", "--tmax", "0")
@@ -190,11 +224,44 @@ class TestExperiment:
         fig3 = run_cli("experiment", "--kind", "fig3", "--n", n)
         assert fig3.returncode == 0
         row = fig3.stdout.splitlines()[3].split(",")
-        assert row[1] == "0.1745445407792918" and row[4] == "true"
+        ref = hp_orbit(10**13, "nongeometric", alpha_tol=1e-12)[-1][0]
+        assert float(row[1]) == pytest.approx(float(ref), rel=1e-14, abs=0) and row[4] == "true"
         assert int(row[3]) > 0
         peak = run_cli("experiment", "--kind", "peak", "--n", n)
         assert peak.returncode == 0
         assert peak.stdout.splitlines()[3] == f"{n},43,true,true"
+
+    def test_peak_at_n_where_one_minus_exp_cancels(self):
+        res = run_cli("experiment", "--kind", "peak", "--n", "10000000000000000,100000000000000000")
+        assert res.returncode == 0
+        assert res.stdout.splitlines()[3:] == [
+            "10000000000000000,53,true,true",
+            "100000000000000000,57,true,true",
+        ]
+
+    @pytest.mark.parametrize(
+        "kind,model,other,other_model",
+        [
+            ("fig1", "geometric", "nongeom", "nongeometric"),
+            ("fig3", "nongeometric", "geom", "geometric"),
+            ("peak", "nongeometric", "geom", "geometric"),
+        ],
+    )
+    def test_figure_kinds_record_their_model(self, kind, model, other, other_model):
+        res = run_cli("experiment", "--kind", kind, "--format", "json", "--seed", "3",
+                      env={"FROGSIM_SEED": "8"})
+        assert res.returncode == 0
+        payload = json.loads(res.stdout)
+        assert payload["config"]["model"] == model and payload["metadata"]["seed"] == 3
+        env_seed = json.loads(run_cli("experiment", "--kind", kind, "--format", "json",
+                                      env={"FROGSIM_SEED": "8"}).stdout)
+        assert env_seed["metadata"]["seed"] == 8
+        bad = run_cli("experiment", "--kind", kind, "--model", other)
+        assert bad.returncode == 2
+        assert bad.stdout == ""
+        assert bad.stderr.splitlines() == [
+            f"error: {kind} computes the {model} model, got '{other_model}'"
+        ]
 
     def test_lln_smoke(self):
         res = run_cli(
@@ -298,6 +365,9 @@ class TestExperiment:
             (["--kind", "fig1", "--tmax", "5"], "fig1 does not read t_max, got 5"),
             (["--kind", "fig3", "--tmax", "0"], "fig3 does not read t_max, got 0"),
             (["--kind", "peak", "--tmax", "5"], "peak does not read t_max, got 5"),
+            (["--kind", "fig1", "--reps", "7"], "fig1 does not read replications, got 7"),
+            (["--kind", "fig3", "--reps", "7"], "fig3 does not read replications, got 7"),
+            (["--kind", "peak", "--reps", "1"], "peak does not read replications, got 1"),
         ],
     )
     def test_unread_input_exit_2(self, args, message):
@@ -314,16 +384,15 @@ class TestExperiment:
         assert res.stderr.splitlines() == ["error: fig3 does not read p_values, got (0.9,)"]
 
     def test_unread_input_at_default_accepted(self):
-        # Seed, model and reps are accepted by every kind, and an unread
-        # input given at its default value changes nothing.
+        # An unread input given at its default value, and the kind's own
+        # model, change nothing.
         direct = run_cli("experiment", "--kind", "fig3", "--n", "100", "--seed", "4")
         padded = run_cli(
             "experiment", "--kind", "fig3", "--n", "100", "--seed", "4", "--p", "0.5",
-            "--tmax", "20", "--model", "geom", "--reps", "3",
+            "--tmax", "20", "--model", "nongeom", "--reps", "100",
         )
         assert direct.returncode == padded.returncode == 0
-        # The rows match; the config header records the different model and reps.
-        assert padded.stdout.splitlines()[2:] == direct.stdout.splitlines()[2:]
+        assert padded.stdout == direct.stdout
 
     @pytest.mark.parametrize(
         "args",

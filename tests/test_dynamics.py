@@ -11,8 +11,7 @@ from frogsim.dynamics import (
     alpha_peak_index,
     det_initial,
     det_orbit,
-    det_step_geometric,
-    det_step_nongeometric,
+    det_step,
     fixed_point_tauN,
     fixed_points_tau,
     iota_infinity,
@@ -37,6 +36,20 @@ def hp_step_nongeometric(iota, alpha, delta):
     return (i * e, i * (a + 1 - e), d + a * (1 - i))
 
 
+def hp_orbit(n, kind, p=None, t_max=math.inf, alpha_tol=None):
+    """80-digit orbit (iota, alpha, delta) from (N/(N+1), 1/(N+1), 0) by the hp_step_*
+    for t = 0..t_max; with alpha_tol, until alpha has fallen below it (iterate_limit's
+    stop).  A float p enters at its float value, as in det_step."""
+    with mpmath.workdps(80):
+        orbit = [(mpmath.mpf(n) / (n + 1), 1 / mpmath.mpf(n + 1), mpmath.mpf(0))]
+        while len(orbit) <= t_max:
+            prev = orbit[-1]
+            orbit.append(hp_step_geometric(*prev, p) if kind == GEOMETRIC else hp_step_nongeometric(*prev))
+            if alpha_tol is not None and orbit[-1][1] < min(prev[1], alpha_tol):
+                break
+    return orbit
+
+
 class TestDetInitial:
     @pytest.mark.parametrize("n,expect", [(3, (0.75, 0.25, 0.0)), (99, (0.99, 0.01, 0.0))])
     def test_values(self, n, expect):
@@ -52,17 +65,17 @@ class TestDetInitial:
 class TestDetSteps:
     def test_geometric_alpha_zero_fixed_point(self):
         s = DetState(0.6, 0.0, 0.4)
-        nxt = det_step_geometric(s, 0.7)
+        nxt = det_step(s, GEOMETRIC, 0.7)
         assert (nxt.iota, nxt.alpha, nxt.delta) == (0.6, 0.0, 0.4)
 
     def test_geometric_p_zero(self):
         s = DetState(0.5, 0.3, 0.2)
-        nxt = det_step_geometric(s, 0.0)
+        nxt = det_step(s, GEOMETRIC, 0.0)
         assert (nxt.iota, nxt.alpha) == (0.5, 0.0)
         assert nxt.delta == pytest.approx(0.5, abs=1e-15)
 
     def test_geometric_against_high_precision(self):
-        nxt = det_step_geometric(DetState(0.75, 0.25, 0.0), 0.5)
+        nxt = det_step(DetState(0.75, 0.25, 0.0), GEOMETRIC, 0.5)
         hi, ha, hd = hp_step_geometric("0.75", "0.25", "0", "0.5")
         assert nxt.iota == pytest.approx(float(hi), abs=1e-15)
         assert nxt.alpha == pytest.approx(float(ha), abs=1e-15)
@@ -70,20 +83,25 @@ class TestDetSteps:
 
     def test_nongeometric_alpha_zero_fixed_point(self):
         s = DetState(0.4, 0.0, 0.6)
-        nxt = det_step_nongeometric(s)
+        nxt = det_step(s, NONGEOMETRIC)
         assert (nxt.iota, nxt.alpha, nxt.delta) == (0.4, 0.0, 0.6)
 
     def test_nongeometric_iota_zero(self):
-        nxt = det_step_nongeometric(DetState(0.0, 0.3, 0.7))
+        nxt = det_step(DetState(0.0, 0.3, 0.7), NONGEOMETRIC)
         assert nxt.alpha == 0.0
         assert nxt.delta == pytest.approx(1.0, abs=1e-15)
 
     def test_nongeometric_against_high_precision(self):
-        nxt = det_step_nongeometric(DetState(0.75, 0.25, 0.0))
+        nxt = det_step(DetState(0.75, 0.25, 0.0), NONGEOMETRIC)
         hi, ha, hd = hp_step_nongeometric("0.75", "0.25", "0")
         assert nxt.iota == pytest.approx(float(hi), abs=1e-15)
         assert nxt.alpha == pytest.approx(float(ha), abs=1e-15)
         assert nxt.delta == pytest.approx(float(hd), abs=1e-15)
+
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, None), (GEOMETRIC, 1.5), ("sir", 0.5)])
+    def test_rejects_missing_p_or_unknown_kind(self, kind, p):
+        with pytest.raises(ValueError):
+            det_step(DetState(0.75, 0.25, 0.0), kind, p)
 
 
 class TestOrbitInvariants:
@@ -98,7 +116,7 @@ class TestOrbitInvariants:
     def test_simplex_drift_long_run(self):
         s = det_initial(1000)
         for _ in range(10**5):
-            s = det_step_geometric(s, 0.55)
+            s = det_step(s, GEOMETRIC, 0.55)
         assert abs(s.iota + s.alpha + s.delta - 1.0) <= 1e-10
 
     def test_geometric_conservation_identity(self):
@@ -108,6 +126,14 @@ class TestOrbitInvariants:
         i0 = orbit[0].iota
         for s in orbit:
             assert abs(s.iota - i0 * math.exp(-phi(p) * s.delta)) <= 1e-10
+
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.8), (NONGEOMETRIC, None)])
+    @pytest.mark.parametrize("n", [10**3, 10**6, 10**9, 10**13, 10**17, 10**30])
+    def test_orbit_against_high_precision(self, kind, p, n):
+        # Absolute error of every coordinate for t <= 300, against 80 digits.
+        orbit = det_orbit(n, kind, 300, p)
+        for s, ref in zip(orbit, hp_orbit(n, kind, p, t_max=300), strict=True):
+            assert max(abs(x - float(r)) for x, r in zip((s.iota, s.alpha, s.delta), ref)) <= 1e-14
 
     def test_orbit_rejects_negative_tmax(self):
         assert len(det_orbit(10, NONGEOMETRIC, 0)) == 1
@@ -279,6 +305,15 @@ class TestIterateLimit:
         assert res.iota_inf == pytest.approx(0.1745445407792918, abs=1e-12)
         assert res.iota_inf == pytest.approx(iterate_limit(10**11, NONGEOMETRIC).iota_inf, abs=1e-6)
 
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.6), (GEOMETRIC, 0.8), (NONGEOMETRIC, None)])
+    @pytest.mark.parametrize("n", [10**3, 10**6, 10**9, 10**13, 10**17, 10**30])
+    def test_limit_against_high_precision(self, kind, p, n):
+        # The 80-digit orbit run to the same stop rule ends at the same step.
+        res = iterate_limit(n, kind, p)
+        ref = hp_orbit(n, kind, p, alpha_tol=1e-12)
+        assert res.converged and res.steps_used == len(ref) - 1
+        assert res.iota_inf == pytest.approx(float(ref[-1][0]), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("max_steps", [0, 1, 5])
     def test_cap_before_alpha_falls_is_not_converged(self, max_steps):
         res = iterate_limit(10**13, NONGEOMETRIC, max_steps=max_steps)
@@ -291,7 +326,8 @@ class TestIterateLimit:
 
 
 class TestAlphaPeak:
-    @pytest.mark.parametrize("n,m", [(3, 2), (1000, 10)])
+    # At N = 1e16 and 1e17, alpha_0 is below 1.1e-16, where 1 - exp(-alpha) rounds to 0.
+    @pytest.mark.parametrize("n,m", [(3, 2), (1000, 10), (10**16, 53), (10**17, 57)])
     def test_pattern_with_golden_index(self, n, m):
         res = alpha_peak_index(n)
         assert res.completed and res.pattern_ok

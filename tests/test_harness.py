@@ -54,7 +54,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="t_max must be >= 0"):
             ExperimentConfig(kind="lln", t_max=-1)
         ExperimentConfig(kind="moments", replications=400)
-        ExperimentConfig(kind="fig1", replications=1)
+        with pytest.raises(ValueError, match="fig1 does not read replications, got 1"):
+            ExperimentConfig(kind="fig1", replications=1)
         ExperimentConfig(kind="phase", p_values=(0.3, 0.6))
         ExperimentConfig(kind="final", n_values=(20, 30))
 
@@ -69,9 +70,22 @@ class TestConfig:
         ):
             with pytest.raises(ValueError, match=f"{kwargs['kind']} does not read"):
                 ExperimentConfig(**kwargs)
-        for kind in KINDS:
+        for kind in ("lln", "final", "phase", "moments"):
+            assert ExperimentConfig(kind=kind, replications=400).model == "nongeometric"
             ExperimentConfig(kind=kind, model="geometric", replications=400, seed=9, t_max=20,
                              p_values=(0.5,), n_values=(100,))
+        for kind, model, other in (
+            ("fig1", "geometric", "nongeometric"),
+            ("fig3", "nongeometric", "geometric"),
+            ("peak", "nongeometric", "geometric"),
+        ):
+            assert ExperimentConfig(kind=kind).model == model
+            ExperimentConfig(kind=kind, model=model, replications=100, seed=9, t_max=20,
+                             p_values=(0.5,), n_values=(100,))
+            with pytest.raises(ValueError, match=f"{kind} does not read replications, got 400"):
+                ExperimentConfig(kind=kind, replications=400)
+            with pytest.raises(ValueError, match=f"{kind} computes the {model} model, got '{other}'"):
+                ExperimentConfig(kind=kind, model=other)
 
 
 class TestSerialization:
