@@ -15,8 +15,7 @@ from .chain import (
     ChainState,
     ModelParams,
     initial_state,
-    moments_geometric,
-    moments_nongeometric,
+    moments,
     replication_rng,
     run_to_absorption,
     simulate_trajectory,

@@ -9,6 +9,7 @@ them pick unvisited vertices, I' ~ EmpBox(Z, I), A' = X + I - I'.
 Nongeometric step: Z ~ Binomial(A, I/N), I' ~ EmpBox(Z, I),
 A' = Z + I - I'.  In both, D' closes the sum to N + 1.  `transition` writes
 this law once; the scalar steps and the moment audit's batched draws call it.
+`moments` gives its closed-form conditional moments from `model_rates`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,19 @@ class ModelParams:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
+
+
+def model_rates(kind: str, p: float | None, unvisited_frac: float) -> tuple[float, float]:
+    """(hit, survive): an active frog reaches a given vertex with probability hit/N and
+    stays active with probability survive; (p, p) geometric, (1, unvisited_frac)
+    nongeometric.  `moments` and `dynamics.det_step` take their rates from here."""
+    if kind == GEOMETRIC:
+        if p is None or not 0.0 <= p <= 1.0:
+            raise ValueError(f"geometric model needs p in [0, 1], got {p}")
+        return p, p
+    if kind == NONGEOMETRIC:
+        return 1.0, unvisited_frac
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -165,38 +179,32 @@ def run_to_absorption(
     return state, state.active == 0
 
 
-def moments_geometric(state: ChainState, params: ModelParams) -> OneStepMoments:
-    """Conditional one-step moments for the geometric model (closed form)."""
+def moments(state: ChainState, params: ModelParams) -> OneStepMoments:
+    """Closed-form conditional moments of the next state, for either model.
+
+    Of the A active frogs, X ~ Binomial(A, survive) stay active, and each frog
+    reaches a given vertex with probability hit/N (`model_rates`), so
+    q_k = (1 - k hit/N)^A is the chance that k given vertices are all missed.
+    I' counts the unvisited vertices missed, A' = X + I - I', D' = D + A - X.
+    """
     validate_state(state, params)
-    n, p = params.n, params.p
+    n = params.n
     i, a, d = state.unvisited, state.active, state.dead
-    q1 = (1.0 - p / n) ** a
-    q2 = (1.0 - 2.0 * p / n) ** a
+    hit, survive = model_rates(params.kind, params.p, i / n)
+    q1 = (1.0 - hit / n) ** a
+    q2 = (1.0 - 2.0 * hit / n) ** a
     e_i = i * q1
-    e_a = p * a + i * (1.0 - q1)
-    e_d = d + (1.0 - p) * a
+    e_a = survive * a + i * (1.0 - q1)
+    e_d = d + (1.0 - survive) * a
     var_i = i * ((i - 1) * q2 - i * q1 * q1 + q1)
-    var_d = a * p * (1.0 - p)
-    cov_ix = -p * a * i * q1 * (1.0 - p) / (n - p)
+    var_d = a * survive * (1.0 - survive)
+    cov_ix = -hit * a * i * q1 * (1.0 - survive) / (n - hit)
     var_a = var_i + var_d - 2.0 * cov_ix
     return OneStepMoments(e_i, e_a, e_d, var_i, var_a, var_d, cov_ix)
 
 
-def moments_nongeometric(state: ChainState, params: ModelParams) -> OneStepMoments:
-    """Conditional one-step moments for the nongeometric model (closed form)."""
-    validate_state(state, params)
-    n = params.n
-    i, a, d = state.unvisited, state.active, state.dead
-    r1 = (1.0 - 1.0 / n) ** a
-    r2 = (1.0 - 2.0 / n) ** a
-    e_i = i * r1
-    e_a = i * (a / n + 1.0 - r1)
-    e_d = d + (1.0 - i / n) * a
-    var_i = i * ((i - 1) * r2 - i * r1 * r1 + r1)
-    var_d = a * (i / n) * (1.0 - i / n)
-    cov_iz = (a * i / n) * r1 * (i - n) / (n - 1)
-    var_a = var_i + var_d - 2.0 * cov_iz
-    return OneStepMoments(e_i, e_a, e_d, var_i, var_a, var_d, cov_iz)
+# perfbench/workloads.py calls the closed form by these two names.
+moments_geometric = moments_nongeometric = moments
 
 
 def replication_rng(*key: int) -> np.random.Generator:

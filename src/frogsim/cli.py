@@ -2,7 +2,7 @@
 
 Data goes to --out (or stdout); diagnostics go to stderr.  Exit codes:
 0 success (including flagged non-convergence), 1 I/O failure, 2 usage.
-FROGSIM_SEED provides a default seed when --seed is absent.
+FROGSIM_SEED provides simulate and experiment a default seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _table_text(columns: list[str], rows: list[tuple], fmt: str) -> str:
 
 def cmd_simulate(args) -> int:
     params = chain.ModelParams(n=args.n, kind=_MODEL[args.model], p=args.p)
-    rng = chain.replication_rng(args.seed, 0)
+    rng = chain.replication_rng(_default_seed() if args.seed is None else args.seed, 0)
     states = chain.simulate_trajectory(params, args.tmax, rng)
     rows = [(s.t, s.unvisited, s.active, s.dead) for s in states]
     _emit(_table_text(["t", "I", "A", "D"], rows, args.format), args.out)
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=float, default=1.0)
     p_sim.add_argument("--tmax", type=int, required=True)
     add_output(p_sim)
-    p_sim.add_argument("--seed", type=int, default=_default_seed())
+    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("det", help="run a deterministic orbit")

@@ -4,8 +4,9 @@ Both limit systems take one step law, `det_step`, with e = 1 - exp(-lam):
     iota'  = iota * (1 - e)
     alpha' = x + iota * e
     delta' = delta + alpha - x
-geometric (discrete Kermack-McKendrick with rate p): lam = x = p * alpha;
-nongeometric: lam = alpha, x = iota * alpha.
+lam = hit * alpha and x = survive * alpha, with (hit, survive) from
+`chain.model_rates`: (p, p) geometric (discrete Kermack-McKendrick with
+rate p), (1, iota) nongeometric.
 Both start from (N/(N+1), 1/(N+1), 0).
 
 The long-run unvisited fraction of the geometric system is the unique
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import GEOMETRIC, NONGEOMETRIC
+from .chain import GEOMETRIC, NONGEOMETRIC, model_rates
 
 DEFAULT_ALPHA_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**7
@@ -62,17 +63,11 @@ def det_initial(n: int) -> DetState:
 
 
 def det_step(s: DetState, kind: str, p: float | None = None) -> DetState:
-    """One step of either limit system (module docstring): a vertex is hit at rate lam,
-    and x of the active fraction survives.  e = -expm1(-lam), as 1 - exp(-lam)
-    cancels at alpha_0 = 1/(N+1)."""
-    if kind == GEOMETRIC:
-        if p is None or not 0.0 <= p <= 1.0:
-            raise ValueError(f"geometric step needs p in [0, 1], got {p}")
-        lam = x = p * s.alpha
-    elif kind == NONGEOMETRIC:
-        lam, x = s.alpha, s.iota * s.alpha
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    """One step of either limit system (module docstring), with lam = hit * alpha and
+    x = survive * alpha from `chain.model_rates`.  e = -expm1(-lam), as
+    1 - exp(-lam) cancels at alpha_0 = 1/(N+1)."""
+    hit, survive = model_rates(kind, p, s.iota)
+    lam, x = hit * s.alpha, survive * s.alpha
     e = -math.expm1(-lam)
     return DetState(s.iota * (1.0 - e), x + s.iota * e, s.delta + s.alpha - x, s.t + 1)
 
@@ -196,7 +191,7 @@ def fixed_points_tau(p: float) -> tuple[float, ...]:
     return (iota_infinity(p), 1.0)
 
 
-def alpha_peak_index(n: int, max_steps: int = 10**6) -> PeakResult:
+def alpha_peak_index(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> PeakResult:
     """Peak of the nongeometric active fraction and its unimodality check.
 
     The orbit is run until alpha has fallen below DEFAULT_ALPHA_TOL, or

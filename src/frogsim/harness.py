@@ -9,9 +9,9 @@ Experiment kinds:
   fig3    nongeometric long-run unvisited fraction vs N
   peak    nongeometric active-fraction peak index vs N
 
-`_DISPATCH` lists the inputs each kind reads and the one model of fig1, fig3
-and peak; an input its kind does not read must keep its default, and another
-model is rejected.
+`_DISPATCH` lists the inputs each kind reads and the one model of phase,
+fig1, fig3 and peak; an input its kind does not read must keep its default,
+and another model is rejected.
 
 Every run is identified by (config, master seed).  Replication `rep` of
 cell `cell` draws from its own stream, `chain.replication_rng(seed, cell,
@@ -258,8 +258,6 @@ def phase_sweep(cfg: ExperimentConfig) -> RunSummary:
 
     `capped` counts the runs that hit the step cap before absorbing.
     """
-    if cfg.model != chain.GEOMETRIC:
-        raise ValueError("phase sweep applies to the geometric model")
     n = cfg.n_values[0]
     rows = []
     for cell, p in enumerate(cfg.p_values):
@@ -336,14 +334,11 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
     """
     panel_rng = chain.replication_rng(cfg.seed, 999)
     panel = moment_panel(cfg, panel_rng)
-    oracle = (
-        chain.moments_geometric if cfg.model == chain.GEOMETRIC else chain.moments_nongeometric
-    )
 
     def cell_rows(cell):
         state, params = panel[cell]
         rng = chain.replication_rng(cfg.seed, cell, 0)
-        mom = oracle(state, params)
+        mom = chain.moments(state, params)
         samples = one_step_samples(state, params, cfg.replications, rng)
         analytic = [
             (mom.e_unvisited, mom.var_unvisited),
@@ -396,7 +391,7 @@ _KIND_INPUTS = ("p_values", "n_values", "t_max", "replications")
 _DISPATCH = {
     "lln": (lln_experiment, ("p_values", "n_values", "t_max", "replications"), None),
     "final": (final_fraction_experiment, ("p_values", "n_values", "replications"), None),
-    "phase": (phase_sweep, ("p_values", "n_values", "replications"), None),
+    "phase": (phase_sweep, ("p_values", "n_values", "replications"), chain.GEOMETRIC),
     "moments": (moment_audit, ("p_values", "replications"), None),
     "fig1": (fig1_data, ("p_values",), chain.GEOMETRIC),
     "fig3": (fig3_data, ("n_values",), chain.NONGEOMETRIC),

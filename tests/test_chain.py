@@ -11,8 +11,7 @@ from frogsim.chain import (
     ChainState,
     ModelParams,
     initial_state,
-    moments_geometric,
-    moments_nongeometric,
+    moments,
     replication_rng,
     run_to_absorption,
     simulate_trajectory,
@@ -183,14 +182,14 @@ class TestTrajectoryPlumbing:
 class TestMomentsGeometric:
     def test_no_actives_degenerate(self):
         params = ModelParams(n=8, kind=GEOMETRIC, p=0.4)
-        m = moments_geometric(ChainState(5, 0, 4), params)
+        m = moments(ChainState(5, 0, 4), params)
         assert m.e_unvisited == 5.0
         assert m.var_unvisited == m.var_active == m.var_dead == 0.0
 
     def test_initial_expected_dead(self):
         p = 0.37
         params = ModelParams(n=12, kind=GEOMETRIC, p=p)
-        m = moments_geometric(initial_state(params), params)
+        m = moments(initial_state(params), params)
         assert m.e_dead == pytest.approx(1 - p, abs=1e-12)
         assert m.e_unvisited == pytest.approx(12 * (1 - p / 12), abs=1e-12)
 
@@ -213,7 +212,7 @@ class TestMomentsGeometric:
             np.asarray(probs)
             @ ((np.asarray(i1s, dtype=float) - mi) * (np.asarray(xs, dtype=float) - mx))
         )
-        m = moments_geometric(state, params)
+        m = moments(state, params)
         assert m.e_unvisited == pytest.approx(ei, abs=1e-10)
         assert m.e_active == pytest.approx(ea, abs=1e-10)
         assert m.e_dead == pytest.approx(ed, abs=1e-10)
@@ -226,13 +225,13 @@ class TestMomentsGeometric:
 class TestMomentsNongeometric:
     def test_no_actives_degenerate(self):
         params = ModelParams(n=8, kind=NONGEOMETRIC)
-        m = moments_nongeometric(ChainState(5, 0, 4), params)
+        m = moments(ChainState(5, 0, 4), params)
         assert m.e_unvisited == 5.0
         assert m.var_unvisited == m.var_active == m.var_dead == 0.0
 
     def test_full_unvisited_makes_dead_deterministic(self):
         params = ModelParams(n=6, kind=NONGEOMETRIC)
-        m = moments_nongeometric(ChainState(6, 1, 0), params)
+        m = moments(ChainState(6, 1, 0), params)
         assert m.var_dead == 0.0
         assert m.e_unvisited == pytest.approx(6 * (1 - 1 / 6), abs=1e-12)
 
@@ -255,7 +254,7 @@ class TestMomentsNongeometric:
             np.asarray(probs)
             @ ((np.asarray(i1s, dtype=float) - mi) * (np.asarray(zs, dtype=float) - mz))
         )
-        m = moments_nongeometric(state, params)
+        m = moments(state, params)
         assert m.e_unvisited == pytest.approx(ei, abs=1e-10)
         assert m.e_active == pytest.approx(ea, abs=1e-10)
         assert m.e_dead == pytest.approx(ed, abs=1e-10)
@@ -317,8 +316,7 @@ class TestMonteCarloMomentAgreement:
     )
     def test_small_state_five_sigma(self, kind, p, state, n):
         params = ModelParams(n=n, kind=kind, p=p)
-        oracle = moments_geometric if kind == GEOMETRIC else moments_nongeometric
-        m = oracle(state, params)
+        m = moments(state, params)
         stepper = step_geometric if kind == GEOMETRIC else step_nongeometric
         rng = np.random.default_rng(99)
         r = 2 * 10**5

@@ -61,6 +61,12 @@ class TestSimulate:
         assert run_cli("simulate", "--model", "bogus", "--n", "10", "--tmax", "1").returncode == 2
         assert run_cli("simulate", "--model", "geom", "--n", "2", "--tmax", "1").returncode == 2
 
+    def test_bad_env_seed_exit_2(self):
+        res = run_cli("simulate", "--model", "nongeom", "--n", "10", "--tmax", "1",
+                      env={"FROGSIM_SEED": "abc"})
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == ["error: FROGSIM_SEED must be an integer, got 'abc'"]
+
     def test_env_seed_default(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--model", "nongeom", "--n", "200", "--tmax", "20"]
@@ -192,10 +198,16 @@ class TestLimits:
         assert res.stdout == ""
         assert res.stderr.splitlines() == ["error: p must be in (0, 1), got 1.5"]
 
-    def test_bad_env_seed_exit_2(self):
-        res = run_cli("limits", "--p", "0.8", "--n", "1000", env={"FROGSIM_SEED": "abc"})
-        assert res.returncode == 2
-        assert res.stderr.splitlines() == ["error: FROGSIM_SEED must be an integer, got 'abc'"]
+    @pytest.mark.parametrize(
+        "args",
+        [["det", "--model", "nongeom", "--n", "5", "--tmax", "1"], ["limits", "--p", "0.8", "--n", "1000"]],
+        ids=["det", "limits"],
+    )
+    def test_env_seed_ignored_without_seed(self, args):
+        # det and limits read no seed, so a bad FROGSIM_SEED is no error for them.
+        res = run_cli(*args, env={"FROGSIM_SEED": "abc"})
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout == run_cli(*args).stdout
 
 
 class TestExperiment:
@@ -242,6 +254,7 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "kind,model,other,other_model",
         [
+            ("phase", "geometric", "nongeom", "nongeometric"),
             ("fig1", "geometric", "nongeom", "nongeometric"),
             ("fig3", "nongeometric", "geom", "geometric"),
             ("peak", "nongeometric", "geom", "geometric"),
@@ -312,6 +325,11 @@ class TestExperiment:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == ["error: t_max must be >= 0"]
+
+    def test_bad_env_seed_exit_2(self):
+        res = run_cli("experiment", "--kind", "fig1", env={"FROGSIM_SEED": "abc"})
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == ["error: FROGSIM_SEED must be an integer, got 'abc'"]
 
     def test_phase_reports_capped_runs(self):
         res = run_cli(

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from frogsim.chain import ChainState, ModelParams, moments
 from frogsim.dynamics import (
     GEOMETRIC,
     NONGEOMETRIC,
@@ -102,6 +103,37 @@ class TestDetSteps:
     def test_rejects_missing_p_or_unknown_kind(self, kind, p):
         with pytest.raises(ValueError):
             det_step(DetState(0.75, 0.25, 0.0), kind, p)
+
+
+def step_law_mean(kind, p, i, a, d, n):
+    """E[(I', A', D')] of the chain's step law (chain module docstring), derived apart
+    from `model_rates`: Z ~ Binomial(A, q) frogs land on the I unvisited vertices, with
+    q = p I/N (geometric) or I/N; the X survivors are Binomial(A, p) (geometric) or Z.
+    A given unvisited vertex is missed with probability E (1 - 1/I)^Z = (1 - q/I)^A."""
+    q = p * i / n if kind == GEOMETRIC else i / n
+    e_x = a * p if kind == GEOMETRIC else a * q
+    e_i = i * (1.0 - q / i) ** a if i else 0.0
+    return e_i, e_x + i - e_i, d + a - e_x
+
+
+class TestChainDrift:
+    """The chain's one-step conditional mean, scaled by 1/(N+1), is det_step to O(1/N)."""
+
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.3), (GEOMETRIC, 0.8), (GEOMETRIC, 1.0),
+                                        (NONGEOMETRIC, 1.0)])
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    def test_conditional_mean_is_det_step(self, kind, p, n):
+        params = ModelParams(n=n, kind=kind, p=p)
+        rng = np.random.default_rng([n, int(100 * p), len(kind)])
+        for _ in range(300):
+            i = int(rng.integers(0, n + 1))
+            a = int(rng.integers(0, n + 2 - i))
+            d = n + 1 - i - a
+            s = det_step(DetState(i / (n + 1), a / (n + 1), d / (n + 1)), kind, p)
+            m = moments(ChainState(i, a, d), params)
+            for mean in ((m.e_unvisited, m.e_active, m.e_dead), step_law_mean(kind, p, i, a, d, n)):
+                drift = max(abs(e / (n + 1) - x) for e, x in zip(mean, (s.iota, s.alpha, s.delta)))
+                assert n * drift <= 1.0, (i, a, d)
 
 
 class TestOrbitInvariants:

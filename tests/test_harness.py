@@ -70,11 +70,12 @@ class TestConfig:
         ):
             with pytest.raises(ValueError, match=f"{kwargs['kind']} does not read"):
                 ExperimentConfig(**kwargs)
-        for kind in ("lln", "final", "phase", "moments"):
+        for kind in ("lln", "final", "moments"):
             assert ExperimentConfig(kind=kind, replications=400).model == "nongeometric"
             ExperimentConfig(kind=kind, model="geometric", replications=400, seed=9, t_max=20,
                              p_values=(0.5,), n_values=(100,))
         for kind, model, other in (
+            ("phase", "geometric", "nongeometric"),
             ("fig1", "geometric", "nongeometric"),
             ("fig3", "nongeometric", "geometric"),
             ("peak", "nongeometric", "geometric"),
@@ -82,8 +83,9 @@ class TestConfig:
             assert ExperimentConfig(kind=kind).model == model
             ExperimentConfig(kind=kind, model=model, replications=100, seed=9, t_max=20,
                              p_values=(0.5,), n_values=(100,))
-            with pytest.raises(ValueError, match=f"{kind} does not read replications, got 400"):
-                ExperimentConfig(kind=kind, replications=400)
+            if kind != "phase":  # phase reads replications
+                with pytest.raises(ValueError, match=f"{kind} does not read replications, got 400"):
+                    ExperimentConfig(kind=kind, replications=400)
             with pytest.raises(ValueError, match=f"{kind} computes the {model} model, got '{other}'"):
                 ExperimentConfig(kind=kind, model=other)
 
@@ -192,9 +194,8 @@ class TestFinalFraction:
 
 class TestPhaseSweep:
     def test_requires_geometric(self):
-        cfg = ExperimentConfig(kind="phase", model="nongeometric")
-        with pytest.raises(ValueError):
-            phase_sweep(cfg)
+        with pytest.raises(ValueError, match="phase computes the geometric model, got 'nongeometric'"):
+            phase_sweep(ExperimentConfig(kind="phase", model="nongeometric"))
 
     def test_transition_endpoints(self):
         cfg = ExperimentConfig(
