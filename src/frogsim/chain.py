@@ -14,11 +14,12 @@ this law once; the scalar steps and the moment audit's batched draws call it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .occupancy import OccupancySpec, sample_binomial, sample_empbox
+from .occupancy import OccupancySpec, ratio_pow, sample_binomial, sample_empbox
 
 GEOMETRIC = "geometric"
 NONGEOMETRIC = "nongeometric"
@@ -26,35 +27,29 @@ NONGEOMETRIC = "nongeometric"
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Graph size N, model kind, and per-jump survival probability p.
-
-    p is meaningful only for the geometric model.
-    """
+    """Graph size N, model kind, and per-jump survival probability p: one model, for
+    its chain and its deterministic limit.  Only the geometric model reads p."""
 
     n: int
     kind: str
-    p: float = 1.0
+    p: float | None = None
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"n must be >= 3, got {self.n}")
         if self.kind not in (GEOMETRIC, NONGEOMETRIC):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not 0.0 <= self.p <= 1.0:
+        if (self.p is None and self.kind == GEOMETRIC) or not 0.0 <= (self.p or 0.0) <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
 
 
-def model_rates(kind: str, p: float | None, unvisited_frac: float) -> tuple[float, float]:
+def model_rates(params: ModelParams, unvisited_frac: float) -> tuple[float, float]:
     """(hit, survive): an active frog reaches a given vertex with probability hit/N and
     stays active with probability survive; (p, p) geometric, (1, unvisited_frac)
     nongeometric.  `moments` and `dynamics.det_step` take their rates from here."""
-    if kind == GEOMETRIC:
-        if p is None or not 0.0 <= p <= 1.0:
-            raise ValueError(f"geometric model needs p in [0, 1], got {p}")
-        return p, p
-    if kind == NONGEOMETRIC:
-        return 1.0, unvisited_frac
-    raise ValueError(f"unknown model kind {kind!r}")
+    if params.kind == GEOMETRIC:
+        return params.p, params.p
+    return 1.0, unvisited_frac
 
 
 @dataclass(frozen=True)
@@ -185,16 +180,16 @@ def moments(state: ChainState, params: ModelParams) -> OneStepMoments:
     Of the A active frogs, X ~ Binomial(A, survive) stay active, and each frog
     reaches a given vertex with probability hit/N (`model_rates`), so
     q_k = (1 - k hit/N)^A is the chance that k given vertices are all missed.
-    I' counts the unvisited vertices missed, A' = X + I - I', D' = D + A - X.
+    I' counts the unvisited vertices missed, A' = X + I - I', D' = D + A - X;
+    `ratio_pow` gives q_k and 1 - q_1 at full precision.
     """
     validate_state(state, params)
     n = params.n
     i, a, d = state.unvisited, state.active, state.dead
-    hit, survive = model_rates(params.kind, params.p, i / n)
-    q1 = (1.0 - hit / n) ** a
-    q2 = (1.0 - 2.0 * hit / n) ** a
+    hit, survive = model_rates(params, i / n)
+    q1, q2 = ratio_pow(n, hit, a), ratio_pow(n, 2.0 * hit, a)
     e_i = i * q1
-    e_a = survive * a + i * (1.0 - q1)
+    e_a = survive * a - i * ratio_pow(n, hit, a, math.expm1)
     e_d = d + (1.0 - survive) * a
     var_i = i * ((i - 1) * q2 - i * q1 * q1 + q1)
     var_d = a * survive * (1.0 - survive)

@@ -47,8 +47,14 @@ def _table_text(columns: list[str], rows: list[tuple], fmt: str) -> str:
     return buf.getvalue()
 
 
+def _model_params(args) -> chain.ModelParams:
+    if args.model == "nongeom" and args.p != 1.0:
+        raise ValueError(f"the nongeometric model does not read p, got {args.p}")
+    return chain.ModelParams(n=args.n, kind=_MODEL[args.model], p=args.p)
+
+
 def cmd_simulate(args) -> int:
-    params = chain.ModelParams(n=args.n, kind=_MODEL[args.model], p=args.p)
+    params = _model_params(args)
     rng = chain.replication_rng(_default_seed() if args.seed is None else args.seed, 0)
     states = chain.simulate_trajectory(params, args.tmax, rng)
     rows = [(s.t, s.unvisited, s.active, s.dead) for s in states]
@@ -57,19 +63,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_det(args) -> int:
-    params = chain.ModelParams(n=args.n, kind=_MODEL[args.model], p=args.p)
-    p = params.p if params.kind == chain.GEOMETRIC else None
+    params = _model_params(args)
     if args.until_alpha is not None:
         if args.format != "csv":
             raise ValueError("--until-alpha writes one key=value line; --format json is for --tmax")
-        res = dynamics.iterate_limit(args.n, params.kind, p, alpha_tol=args.until_alpha)
+        res = dynamics.iterate_limit(params, alpha_tol=args.until_alpha)
         _emit(
             f"iota_inf={format_value(res.iota_inf)} delta_inf={format_value(res.delta_inf)} "
             f"steps={res.steps_used} converged={format_value(res.converged)}\n",
             args.out,
         )
         return 0
-    states = dynamics.det_orbit(args.n, params.kind, args.tmax, p)
+    states = dynamics.det_orbit(params, args.tmax)
     rows = [(s.t, s.iota, s.alpha, s.delta) for s in states]
     _emit(_table_text(["t", "iota", "alpha", "delta"], rows, args.format), args.out)
     return 0

@@ -6,8 +6,8 @@ Both limit systems take one step law, `det_step`, with e = 1 - exp(-lam):
     delta' = delta + alpha - x
 lam = hit * alpha and x = survive * alpha, with (hit, survive) from
 `chain.model_rates`: (p, p) geometric (discrete Kermack-McKendrick with
-rate p), (1, iota) nongeometric.
-Both start from (N/(N+1), 1/(N+1), 0).
+rate p), (1, iota) nongeometric.  Both start from (N/(N+1), 1/(N+1), 0),
+and each takes its model as the chains do, as a `chain.ModelParams`.
 
 The long-run unvisited fraction of the geometric system is the unique
 fixed point of tau_N(x) = (N/(N+1)) exp(-phi(p)(1-x)) in [0, 1), with
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import GEOMETRIC, NONGEOMETRIC, model_rates
+from .chain import NONGEOMETRIC, ModelParams, model_rates
 
 DEFAULT_ALPHA_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**7
@@ -56,17 +56,15 @@ class PeakResult:
     completed: bool
 
 
-def det_initial(n: int) -> DetState:
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    return DetState(n / (n + 1), 1 / (n + 1), 0.0, 0)
+def det_initial(params: ModelParams) -> DetState:
+    return DetState(params.n / (params.n + 1), 1 / (params.n + 1), 0.0, 0)
 
 
-def det_step(s: DetState, kind: str, p: float | None = None) -> DetState:
+def det_step(s: DetState, params: ModelParams) -> DetState:
     """One step of either limit system (module docstring), with lam = hit * alpha and
     x = survive * alpha from `chain.model_rates`.  e = -expm1(-lam), as
     1 - exp(-lam) cancels at alpha_0 = 1/(N+1)."""
-    hit, survive = model_rates(kind, p, s.iota)
+    hit, survive = model_rates(params, s.iota)
     lam, x = hit * s.alpha, survive * s.alpha
     e = -math.expm1(-lam)
     return DetState(s.iota * (1.0 - e), x + s.iota * e, s.delta + s.alpha - x, s.t + 1)
@@ -77,38 +75,36 @@ def _settled(prev: DetState, s: DetState, alpha_tol: float) -> bool:
     return s.alpha < min(prev.alpha, alpha_tol)
 
 
-def _orbit(n: int, kind: str, p: float | None, alpha_tol: float, max_steps: float):
-    """Pairs (previous, current) from (s0, s0), s0 = det_initial(n), one det_step at a time
-    until _settled or t = max_steps; alpha may start below alpha_tol and rise first."""
-    prev = s = det_initial(n)
+def _orbit(params: ModelParams, alpha_tol: float, max_steps: float):
+    """Pairs (previous, current) from (s0, s0), s0 = det_initial(params), one det_step at a
+    time until _settled, t = max_steps or a fixed point (a step that returns its input, as
+    every later one would); alpha may start below alpha_tol and rise first."""
+    prev = s = det_initial(params)
     yield prev, s
     while not _settled(prev, s, alpha_tol) and s.t < max_steps:
-        prev, s = s, det_step(s, kind, p)
+        prev, s = s, det_step(s, params)
         yield prev, s
+        if s.alpha == prev.alpha and s.iota == prev.iota and s.delta == prev.delta:
+            return
 
 
-def det_orbit(n: int, kind: str, t_max: int, p: float | None = None) -> list[DetState]:
-    """Orbit from det_initial(n) for t = 0..t_max."""
+def det_orbit(params: ModelParams, t_max: int) -> list[DetState]:
+    """Orbit from det_initial(params) for t = 0..t_max; a fixed point repeats to t_max."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    return [s for _, s in _orbit(n, kind, p, -math.inf, t_max)]
+    *orbit, s = (s for _, s in _orbit(params, -math.inf, t_max))
+    return orbit + [DetState(s.iota, s.alpha, s.delta, t) for t in range(s.t, t_max + 1)]
 
 
 def iterate_limit(
-    n: int,
-    kind: str,
-    p: float | None = None,
-    alpha_tol: float = DEFAULT_ALPHA_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    params: ModelParams, alpha_tol: float = DEFAULT_ALPHA_TOL, max_steps: int = DEFAULT_MAX_STEPS
 ) -> LimitResult:
-    """Iterate the limit system until alpha has fallen below alpha_tol, or max_steps.
-
-    Non-convergence is reported through the flag, not an exception: near
-    p = 1/2 the geometric decay degrades to polynomial.
-    """
+    """Iterate the limit system until alpha has fallen below alpha_tol (converged), a fixed
+    point or max_steps, reported by the flag: near p = 1/2 the geometric decay degrades
+    to polynomial, and at p = 1 alpha settles at 1."""
     if not 0 < alpha_tol < math.inf:
         raise ValueError(f"alpha_tol must be finite and > 0, got {alpha_tol}")
-    for prev, s in _orbit(n, kind, p, alpha_tol, max_steps):
+    for prev, s in _orbit(params, alpha_tol, max_steps):
         pass
     return LimitResult(iota_inf=s.iota, delta_inf=s.delta, steps_used=s.t,
                        converged=_settled(prev, s, alpha_tol))
@@ -198,7 +194,7 @@ def alpha_peak_index(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> PeakResult:
     max_steps; the sequence should rise strictly up to the peak (the later
     index of a tie) and fall strictly after it.
     """
-    pairs = list(_orbit(n, NONGEOMETRIC, None, DEFAULT_ALPHA_TOL, max_steps))
+    pairs = list(_orbit(ModelParams(n, NONGEOMETRIC), DEFAULT_ALPHA_TOL, max_steps))
     alphas = [s.alpha for _, s in pairs]
     completed = _settled(*pairs[-1], DEFAULT_ALPHA_TOL)
     peak = max(range(len(alphas)), key=lambda j: (alphas[j], j))

@@ -10,8 +10,8 @@ Experiment kinds:
   peak    nongeometric active-fraction peak index vs N
 
 `_DISPATCH` lists the inputs each kind reads and the one model of phase,
-fig1, fig3 and peak; an input its kind does not read must keep its default,
-and another model is rejected.
+fig1, fig3 and peak; an input its kind, or its model (the nongeometric model
+reads no p), does not read must keep its default; another model is rejected.
 
 Every run is identified by (config, master seed).  Replication `rep` of
 cell `cell` draws from its own stream, `chain.replication_rng(seed, cell,
@@ -95,8 +95,11 @@ class ExperimentConfig:
         reads = _DISPATCH[self.kind][1]
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in _KIND_INPUTS and f.name not in reads and value != f.default:
-                raise ValueError(f"{self.kind} does not read {f.name}, got {value!r}")
+            if f.name in _KIND_INPUTS and value != f.default:
+                if f.name not in reads:
+                    raise ValueError(f"{self.kind} does not read {f.name}, got {value!r}")
+                if f.name == "p_values" and self.model == chain.NONGEOMETRIC:
+                    raise ValueError(f"the nongeometric model does not read p_values, got {value!r}")
 
 
 @dataclass
@@ -199,7 +202,7 @@ def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
     rows = []
     for cell, n in enumerate(cfg.n_values):
         params = _params(cfg, n, p)
-        states = dynamics.det_orbit(n, cfg.model, cfg.t_max, p)
+        states = dynamics.det_orbit(params, cfg.t_max)
         orbit = np.array([(s.iota, s.alpha, s.delta) for s in states])
         times = np.arange(cfg.t_max + 1)
 
@@ -370,7 +373,7 @@ def fig3_data(cfg: ExperimentConfig) -> RunSummary:
     """Nongeometric long-run unvisited fraction per N (ascending grid)."""
     rows = []
     for n in cfg.n_values:
-        res = dynamics.iterate_limit(n, dynamics.NONGEOMETRIC)
+        res = dynamics.iterate_limit(chain.ModelParams(n, cfg.model))
         rows.append([n, res.iota_inf, res.delta_inf, res.steps_used, res.converged])
     cols = ["n", "iota_inf", "delta_inf", "steps_used", "converged"]
     return _finish(cfg, cols, rows)

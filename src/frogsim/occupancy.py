@@ -47,13 +47,13 @@ class OccupancySpec:
             raise ValueError(f"boxes must be >= 1, got {self.boxes}")
 
 
-def _ratio_pow(c: int, j: int, b: int) -> float:
-    # ((c-j)/c)^b as exp(b*log1p(-j/c)), with 0^0 = 1; stable for b ~ 1e6.
+def ratio_pow(c: int, j: float, b: int, f=math.exp) -> float:
+    # f(b*log1p(-j/c)), with 0^0 = 1: ((c-j)/c)^b for f = exp, that less 1 for f = expm1.
     if b == 0:
-        return 1.0
+        return f(0.0)
     if c - j <= 0:
-        return 0.0
-    return math.exp(b * math.log1p(-j / c))
+        return f(-math.inf)
+    return f(b * math.log1p(-j / c))
 
 
 def empbox_pmf(spec: OccupancySpec) -> np.ndarray:
@@ -86,16 +86,16 @@ def empbox_pmf(spec: OccupancySpec) -> np.ndarray:
 def empbox_mean(spec: OccupancySpec) -> float:
     """E(X) = c ((c-1)/c)^b for X ~ EmpBox(b, c)."""
     b, c = spec.balls, spec.boxes
-    return c * _ratio_pow(c, 1, b)
+    return c * ratio_pow(c, 1, b)
 
 
 def empbox_variance(spec: OccupancySpec) -> float:
     """Var(X) = c(c-1)((c-2)/c)^b + c((c-1)/c)^b - c^2((c-1)/c)^(2b)."""
     b, c = spec.balls, spec.boxes
     return (
-        c * (c - 1) * _ratio_pow(c, 2, b)
-        + c * _ratio_pow(c, 1, b)
-        - c * c * _ratio_pow(c, 1, 2 * b)
+        c * (c - 1) * ratio_pow(c, 2, b)
+        + c * ratio_pow(c, 1, b)
+        - c * c * ratio_pow(c, 1, 2 * b)
     )
 
 

@@ -121,7 +121,7 @@ def test_criterion_05_cross_oracle_limits():
     worst = 0.0
     for p in (0.3, 0.55, 0.8):
         for n in (10**2, 10**4):
-            a = dynamics.iterate_limit(n, "geometric", p).iota_inf
+            a = dynamics.iterate_limit(chain.ModelParams(n, chain.GEOMETRIC, p)).iota_inf
             b = dynamics.fixed_point_tauN(p, n)
             worst = max(worst, abs(a - b))
     bound_ok = all(

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -72,6 +73,12 @@ class TestParamsAndState:
             ModelParams(n=10, kind="bogus")
         with pytest.raises(ValueError):
             ModelParams(n=10, kind=GEOMETRIC, p=1.5)
+        # The geometric model needs p; the nongeometric one reads none.
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got None"):
+            ModelParams(n=10, kind=GEOMETRIC)
+        assert ModelParams(n=10, kind=NONGEOMETRIC).p is None
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got 1.5"):
+            ModelParams(n=10, kind=NONGEOMETRIC, p=1.5)
 
     @pytest.mark.parametrize("n", [3, 100, 12345])
     def test_initial_state(self, n):
@@ -262,6 +269,27 @@ class TestMomentsNongeometric:
         assert m.var_active == pytest.approx(va, abs=1e-10)
         assert m.var_dead == pytest.approx(vd, abs=1e-10)
         assert m.cov_unvisited_aux == pytest.approx(cov, abs=1e-10)
+
+
+class TestMomentsHighPrecision:
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.8), (NONGEOMETRIC, 1.0)])
+    @pytest.mark.parametrize("n", [10**6, 10**9])
+    def test_means_against_high_precision(self, kind, p, n):
+        # E I' = I q1 and E A' = survive A + I (1 - q1), q1 = (1 - hit/N)^A, against 50
+        # digits over 300 random states; raising the float 1 - hit/N to the power A
+        # would be off by up to 4e-8 relative at N = 1e9.
+        params = ModelParams(n=n, kind=kind, p=p)
+        rng = np.random.default_rng([n, len(kind)])
+        with mpmath.workdps(50):
+            for _ in range(300):
+                i = int(rng.integers(0, n + 1))
+                a = int(rng.integers(0, n + 2 - i))
+                m = moments(ChainState(i, a, n + 1 - i - a), params)
+                hit = mpmath.mpf(p) if kind == GEOMETRIC else mpmath.mpf(1)
+                survive = mpmath.mpf(p) if kind == GEOMETRIC else mpmath.mpf(i) / n
+                q1 = (1 - hit / n) ** a
+                for got, ref in ((m.e_unvisited, i * q1), (m.e_active, survive * a + i * (1 - q1))):
+                    assert abs(got - ref) <= 1e-15 * abs(ref), (i, a)
 
 
 class TestOneStepLawEquivalence:

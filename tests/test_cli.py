@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from frogsim.chain import NONGEOMETRIC, ModelParams
 from test_dynamics import hp_orbit
 
 
@@ -96,7 +97,7 @@ class TestDet:
         res = run_cli("det", "--model", "nongeom", "--n", "100", "--until-alpha", "0.05")
         assert res.returncode == 0
         val = float(res.stdout.split("iota_inf=")[1].split()[0])
-        ref = hp_orbit(100, "nongeometric", alpha_tol=0.05)[-1][0]
+        ref = hp_orbit(ModelParams(100, NONGEOMETRIC), alpha_tol=0.05)[-1][0]
         assert val == pytest.approx(float(ref), rel=1e-14, abs=0)
         assert "steps=11 converged=true" in res.stdout
 
@@ -149,8 +150,32 @@ class TestDet:
         assert res.stdout == ""
         assert "not allowed with argument" in res.stderr
 
+    def test_until_alpha_stops_at_fixed_point(self):
+        # At p = 1 alpha settles at 1; the state stops changing at t = 753.
+        res = run_cli("det", "--model", "geom", "--p", "1.0", "--n", "100", "--until-alpha", "1e-12")
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout == "iota_inf=0 delta_inf=0 steps=753 converged=false\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--tmax", "3", "--seed", "1"],
+            ["det", "--tmax", "3"],
+            ["det", "--until-alpha", "1e-12"],
+        ],
+        ids=["simulate", "det-tmax", "det-until-alpha"],
+    )
+    def test_nongeometric_p_exit_2_unless_default(self, args):
+        # The nongeometric model reads no p: --p runs only at its default, 1.
+        model = [*args[:1], "--model", "nongeom", "--n", "10", *args[1:]]
+        res = run_cli(*model, "--p", "0.3")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.splitlines() == ["error: the nongeometric model does not read p, got 0.3"]
+        at_default = run_cli(*model, "--p", "1")
+        assert at_default.returncode == 0 and at_default.stdout == run_cli(*model).stdout
+
     def test_p_out_of_range_exit_2(self):
-        res = run_cli("det", "--model", "nongeom", "--n", "5", "--p", "7", "--tmax", "1")
+        res = run_cli("det", "--model", "geom", "--n", "5", "--p", "7", "--tmax", "1")
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == ["error: p must be in [0, 1], got 7.0"]
@@ -236,7 +261,7 @@ class TestExperiment:
         fig3 = run_cli("experiment", "--kind", "fig3", "--n", n)
         assert fig3.returncode == 0
         row = fig3.stdout.splitlines()[3].split(",")
-        ref = hp_orbit(10**13, "nongeometric", alpha_tol=1e-12)[-1][0]
+        ref = hp_orbit(ModelParams(10**13, NONGEOMETRIC), alpha_tol=1e-12)[-1][0]
         assert float(row[1]) == pytest.approx(float(ref), rel=1e-14, abs=0) and row[4] == "true"
         assert int(row[3]) > 0
         peak = run_cli("experiment", "--kind", "peak", "--n", n)
@@ -394,6 +419,27 @@ class TestExperiment:
         assert res.stdout == ""
         assert res.stderr.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kind", "lln", "--n", "20", "--tmax", "3", "--reps", "3"],
+            ["--kind", "final", "--n", "20", "--reps", "3"],
+            ["--kind", "moments", "--reps", "400"],
+        ],
+        ids=["lln", "final", "moments"],
+    )
+    def test_nongeometric_p_exit_2_unless_default(self, args):
+        # The nongeometric model, given or by default, reads no p: --p runs only at 0.5.
+        for model in (["--model", "nongeom"], []):
+            res = run_cli("experiment", *args, *model, "--p", "0.3")
+            assert res.returncode == 2 and res.stdout == ""
+            assert res.stderr.splitlines() == [
+                "error: the nongeometric model does not read p_values, got (0.3,)"
+            ]
+        at_default = run_cli("experiment", *args, "--model", "nongeom", "--p", "0.5")
+        assert at_default.returncode == 0
+        assert at_default.stdout == run_cli("experiment", *args).stdout
+
     def test_unread_input_in_config_file_exit_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kind=fig3\nn=100\np=0.9\n")
@@ -419,7 +465,7 @@ class TestExperiment:
             ["--kind", "final", "--model", "nongeom", "--n", "40,60", "--reps", "7"],
             ["--kind", "phase", "--model", "geom", "--p", "0.3,0.8", "--n", "60", "--reps", "4"],
             ["--kind", "moments", "--model", "geom", "--p", "0.6", "--reps", "400"],
-            ["--kind", "moments", "--model", "nongeom", "--p", "0.6", "--reps", "400"],
+            ["--kind", "moments", "--model", "nongeom", "--p", "0.5", "--reps", "400"],
         ],
         ids=["lln", "final", "phase", "moments-geom", "moments-nongeom"],
     )

@@ -4,10 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from frogsim.chain import ChainState, ModelParams, moments
+from frogsim.chain import GEOMETRIC, NONGEOMETRIC, ChainState, ModelParams, moments
 from frogsim.dynamics import (
-    GEOMETRIC,
-    NONGEOMETRIC,
     DetState,
     alpha_peak_index,
     det_initial,
@@ -37,15 +35,16 @@ def hp_step_nongeometric(iota, alpha, delta):
     return (i * e, i * (a + 1 - e), d + a * (1 - i))
 
 
-def hp_orbit(n, kind, p=None, t_max=math.inf, alpha_tol=None):
+def hp_orbit(params, t_max=math.inf, alpha_tol=None):
     """80-digit orbit (iota, alpha, delta) from (N/(N+1), 1/(N+1), 0) by the hp_step_*
     for t = 0..t_max; with alpha_tol, until alpha has fallen below it (iterate_limit's
     stop).  A float p enters at its float value, as in det_step."""
+    n, p, geometric = params.n, params.p, params.kind == GEOMETRIC
     with mpmath.workdps(80):
         orbit = [(mpmath.mpf(n) / (n + 1), 1 / mpmath.mpf(n + 1), mpmath.mpf(0))]
         while len(orbit) <= t_max:
             prev = orbit[-1]
-            orbit.append(hp_step_geometric(*prev, p) if kind == GEOMETRIC else hp_step_nongeometric(*prev))
+            orbit.append(hp_step_geometric(*prev, p) if geometric else hp_step_nongeometric(*prev))
             if alpha_tol is not None and orbit[-1][1] < min(prev[1], alpha_tol):
                 break
     return orbit
@@ -54,29 +53,34 @@ def hp_orbit(n, kind, p=None, t_max=math.inf, alpha_tol=None):
 class TestDetInitial:
     @pytest.mark.parametrize("n,expect", [(3, (0.75, 0.25, 0.0)), (99, (0.99, 0.01, 0.0))])
     def test_values(self, n, expect):
-        s = det_initial(n)
+        s = det_initial(ModelParams(n, NONGEOMETRIC))
         assert (s.iota, s.alpha, s.delta) == pytest.approx(expect, abs=1e-15)
         assert s.iota + s.alpha + s.delta == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            det_initial(2)
+            det_initial(ModelParams(2, NONGEOMETRIC))
+
+
+def model(kind, p=None, n=3):
+    """The model of a test; N = 3 where the test reads no N."""
+    return ModelParams(n, kind, p)
 
 
 class TestDetSteps:
     def test_geometric_alpha_zero_fixed_point(self):
         s = DetState(0.6, 0.0, 0.4)
-        nxt = det_step(s, GEOMETRIC, 0.7)
+        nxt = det_step(s, model(GEOMETRIC, 0.7))
         assert (nxt.iota, nxt.alpha, nxt.delta) == (0.6, 0.0, 0.4)
 
     def test_geometric_p_zero(self):
         s = DetState(0.5, 0.3, 0.2)
-        nxt = det_step(s, GEOMETRIC, 0.0)
+        nxt = det_step(s, model(GEOMETRIC, 0.0))
         assert (nxt.iota, nxt.alpha) == (0.5, 0.0)
         assert nxt.delta == pytest.approx(0.5, abs=1e-15)
 
     def test_geometric_against_high_precision(self):
-        nxt = det_step(DetState(0.75, 0.25, 0.0), GEOMETRIC, 0.5)
+        nxt = det_step(DetState(0.75, 0.25, 0.0), model(GEOMETRIC, 0.5))
         hi, ha, hd = hp_step_geometric("0.75", "0.25", "0", "0.5")
         assert nxt.iota == pytest.approx(float(hi), abs=1e-15)
         assert nxt.alpha == pytest.approx(float(ha), abs=1e-15)
@@ -84,25 +88,32 @@ class TestDetSteps:
 
     def test_nongeometric_alpha_zero_fixed_point(self):
         s = DetState(0.4, 0.0, 0.6)
-        nxt = det_step(s, NONGEOMETRIC)
+        nxt = det_step(s, model(NONGEOMETRIC))
         assert (nxt.iota, nxt.alpha, nxt.delta) == (0.4, 0.0, 0.6)
 
     def test_nongeometric_iota_zero(self):
-        nxt = det_step(DetState(0.0, 0.3, 0.7), NONGEOMETRIC)
+        nxt = det_step(DetState(0.0, 0.3, 0.7), model(NONGEOMETRIC))
         assert nxt.alpha == 0.0
         assert nxt.delta == pytest.approx(1.0, abs=1e-15)
 
     def test_nongeometric_against_high_precision(self):
-        nxt = det_step(DetState(0.75, 0.25, 0.0), NONGEOMETRIC)
+        nxt = det_step(DetState(0.75, 0.25, 0.0), model(NONGEOMETRIC))
         hi, ha, hd = hp_step_nongeometric("0.75", "0.25", "0")
         assert nxt.iota == pytest.approx(float(hi), abs=1e-15)
         assert nxt.alpha == pytest.approx(float(ha), abs=1e-15)
         assert nxt.delta == pytest.approx(float(hd), abs=1e-15)
 
-    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, None), (GEOMETRIC, 1.5), ("sir", 0.5)])
-    def test_rejects_missing_p_or_unknown_kind(self, kind, p):
-        with pytest.raises(ValueError):
-            det_step(DetState(0.75, 0.25, 0.0), kind, p)
+    @pytest.mark.parametrize(
+        "kind,p,message",
+        [(GEOMETRIC, None, r"p must be in \[0, 1\], got None"),
+         (GEOMETRIC, 1.5, r"p must be in \[0, 1\], got 1.5"),
+         ("sir", 0.5, "unknown model kind 'sir'")],
+        ids=["geometric-None", "geometric-1.5", "sir-0.5"],
+    )
+    def test_rejects_missing_p_or_unknown_kind(self, kind, p, message):
+        # ModelParams checks every model for the steps, as for the chains.
+        with pytest.raises(ValueError, match=message):
+            det_step(DetState(0.75, 0.25, 0.0), ModelParams(3, kind, p))
 
 
 def step_law_mean(kind, p, i, a, d, n):
@@ -129,7 +140,7 @@ class TestChainDrift:
             i = int(rng.integers(0, n + 1))
             a = int(rng.integers(0, n + 2 - i))
             d = n + 1 - i - a
-            s = det_step(DetState(i / (n + 1), a / (n + 1), d / (n + 1)), kind, p)
+            s = det_step(DetState(i / (n + 1), a / (n + 1), d / (n + 1)), params)
             m = moments(ChainState(i, a, d), params)
             for mean in ((m.e_unvisited, m.e_active, m.e_dead), step_law_mean(kind, p, i, a, d, n)):
                 drift = max(abs(e / (n + 1) - x) for e, x in zip(mean, (s.iota, s.alpha, s.delta)))
@@ -139,22 +150,23 @@ class TestChainDrift:
 class TestOrbitInvariants:
     @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.3), (GEOMETRIC, 0.8), (NONGEOMETRIC, None)])
     def test_simplex_and_monotone(self, kind, p):
-        orbit = det_orbit(500, kind, 300, p)
+        orbit = det_orbit(model(kind, p, 500), 300)
         for prev, cur in zip(orbit, orbit[1:]):
             assert abs(cur.iota + cur.alpha + cur.delta - 1.0) <= 1e-12
             assert cur.iota <= prev.iota + 1e-15
             assert cur.delta >= prev.delta - 1e-15
 
     def test_simplex_drift_long_run(self):
-        s = det_initial(1000)
+        params = model(GEOMETRIC, 0.55, 1000)
+        s = det_initial(params)
         for _ in range(10**5):
-            s = det_step(s, GEOMETRIC, 0.55)
+            s = det_step(s, params)
         assert abs(s.iota + s.alpha + s.delta - 1.0) <= 1e-10
 
     def test_geometric_conservation_identity(self):
         # iota_t = iota_0 * exp(-phi(p) * delta_t) along geometric orbits.
         p = 0.65
-        orbit = det_orbit(200, GEOMETRIC, 400, p)
+        orbit = det_orbit(model(GEOMETRIC, p, 200), 400)
         i0 = orbit[0].iota
         for s in orbit:
             assert abs(s.iota - i0 * math.exp(-phi(p) * s.delta)) <= 1e-10
@@ -163,14 +175,24 @@ class TestOrbitInvariants:
     @pytest.mark.parametrize("n", [10**3, 10**6, 10**9, 10**13, 10**17, 10**30])
     def test_orbit_against_high_precision(self, kind, p, n):
         # Absolute error of every coordinate for t <= 300, against 80 digits.
-        orbit = det_orbit(n, kind, 300, p)
-        for s, ref in zip(orbit, hp_orbit(n, kind, p, t_max=300), strict=True):
+        orbit = det_orbit(model(kind, p, n), 300)
+        for s, ref in zip(orbit, hp_orbit(model(kind, p, n), t_max=300), strict=True):
             assert max(abs(x - float(r)) for x, r in zip((s.iota, s.alpha, s.delta), ref)) <= 1e-14
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_orbit_past_fixed_point(self, p):
+        # p = 0 stops at (iota_0, 0, alpha_0) and p = 1 at (0, 1, 0) well before t = 2000;
+        # det_orbit keeps t_max + 1 states, each that of a plain det_step loop.
+        params = model(GEOMETRIC, p, 100)
+        ref = [det_initial(params)]
+        for _ in range(2000):
+            ref.append(det_step(ref[-1], params))
+        assert det_orbit(params, 2000) == ref
+
     def test_orbit_rejects_negative_tmax(self):
-        assert len(det_orbit(10, NONGEOMETRIC, 0)) == 1
+        assert len(det_orbit(model(NONGEOMETRIC, n=10), 0)) == 1
         with pytest.raises(ValueError, match="t_max must be >= 0"):
-            det_orbit(10, NONGEOMETRIC, -1)
+            det_orbit(model(NONGEOMETRIC, n=10), -1)
 
 
 class TestPhi:
@@ -307,54 +329,68 @@ class TestFixedPoints:
 
 class TestIterateLimit:
     def test_geometric_cross_oracle(self):
-        res = iterate_limit(1000, GEOMETRIC, 0.3)
+        res = iterate_limit(model(GEOMETRIC, 0.3, 1000))
         assert res.converged
         assert res.iota_inf == pytest.approx(fixed_point_tauN(0.3, 1000), abs=1e-9)
 
     def test_nongeometric_interval(self):
-        res = iterate_limit(1000, NONGEOMETRIC)
+        res = iterate_limit(model(NONGEOMETRIC, n=1000))
         assert res.converged
         assert 0.17 < res.iota_inf < 0.18
 
     def test_conservation_of_limit(self):
-        res = iterate_limit(500, GEOMETRIC, 0.7, alpha_tol=1e-12)
+        res = iterate_limit(model(GEOMETRIC, 0.7, 500), alpha_tol=1e-12)
         assert res.iota_inf + res.delta_inf == pytest.approx(1.0, abs=1e-11)
 
     def test_non_convergence_flagged(self):
-        res = iterate_limit(1000, NONGEOMETRIC, alpha_tol=1e-12, max_steps=3)
+        res = iterate_limit(model(NONGEOMETRIC, n=1000), alpha_tol=1e-12, max_steps=3)
         assert not res.converged and res.steps_used == 3
 
     def test_start_below_tolerance_waits_for_alpha_to_fall(self):
         # alpha_0 = 1/101 < 0.05, but alpha rises before it falls.
-        res = iterate_limit(100, NONGEOMETRIC, alpha_tol=0.05)
+        res = iterate_limit(model(NONGEOMETRIC, n=100), alpha_tol=0.05)
         assert res.converged and res.steps_used == 11
         assert res.iota_inf == pytest.approx(0.18253265520996562, abs=1e-12)
 
     def test_start_below_default_tolerance_at_huge_n(self):
         # alpha_0 = 1/(1e13 + 1) is below the default 1e-12.
-        res = iterate_limit(10**13, NONGEOMETRIC)
+        res = iterate_limit(model(NONGEOMETRIC, n=10**13))
         assert res.converged and res.steps_used > 0
         assert res.iota_inf == pytest.approx(0.1745445407792918, abs=1e-12)
-        assert res.iota_inf == pytest.approx(iterate_limit(10**11, NONGEOMETRIC).iota_inf, abs=1e-6)
+        ref = iterate_limit(model(NONGEOMETRIC, n=10**11)).iota_inf
+        assert res.iota_inf == pytest.approx(ref, abs=1e-6)
 
     @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.6), (GEOMETRIC, 0.8), (NONGEOMETRIC, None)])
     @pytest.mark.parametrize("n", [10**3, 10**6, 10**9, 10**13, 10**17, 10**30])
     def test_limit_against_high_precision(self, kind, p, n):
         # The 80-digit orbit run to the same stop rule ends at the same step.
-        res = iterate_limit(n, kind, p)
-        ref = hp_orbit(n, kind, p, alpha_tol=1e-12)
+        res = iterate_limit(model(kind, p, n))
+        ref = hp_orbit(model(kind, p, n), alpha_tol=1e-12)
         assert res.converged and res.steps_used == len(ref) - 1
         assert res.iota_inf == pytest.approx(float(ref[-1][0]), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("n", [3, 100, 10**17])
+    def test_stops_at_fixed_point(self, n):
+        # At p = 1 alpha settles at 1, above any tolerance: the limit stops, unconverged,
+        # at the first state that repeats the previous one, not after max_steps.
+        params = model(GEOMETRIC, 1.0, n)
+        prev, s = det_initial(params), det_step(det_initial(params), params)
+        while (s.iota, s.alpha, s.delta) != (prev.iota, prev.alpha, prev.delta):
+            prev, s = s, det_step(s, params)
+        res = iterate_limit(params)
+        assert not res.converged and res.steps_used == s.t < 1000
+        assert (res.iota_inf, res.delta_inf) == (0.0, 0.0)
+        assert s.alpha == pytest.approx(1.0, abs=1e-15)
+
     @pytest.mark.parametrize("max_steps", [0, 1, 5])
     def test_cap_before_alpha_falls_is_not_converged(self, max_steps):
-        res = iterate_limit(10**13, NONGEOMETRIC, max_steps=max_steps)
+        res = iterate_limit(model(NONGEOMETRIC, n=10**13), max_steps=max_steps)
         assert not res.converged and res.steps_used == max_steps
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.inf, math.nan])
     def test_rejects_tolerance_not_finite_positive(self, tol):
         with pytest.raises(ValueError, match="alpha_tol must be finite and > 0"):
-            iterate_limit(100, GEOMETRIC, 0.8, alpha_tol=tol)
+            iterate_limit(model(GEOMETRIC, 0.8, 100), alpha_tol=tol)
 
 
 class TestAlphaPeak:

@@ -72,6 +72,8 @@ class TestConfig:
                 ExperimentConfig(**kwargs)
         for kind in ("lln", "final", "moments"):
             assert ExperimentConfig(kind=kind, replications=400).model == "nongeometric"
+            with pytest.raises(ValueError, match=r"nongeometric model does not read p_values, got \(0.3,\)"):
+                ExperimentConfig(kind=kind, p_values=(0.3,), replications=400)
             ExperimentConfig(kind=kind, model="geometric", replications=400, seed=9, t_max=20,
                              p_values=(0.5,), n_values=(100,))
         for kind, model, other in (
@@ -123,7 +125,7 @@ class TestLln:
         # Identical initial conditions: only float rounding of the scaling.
         assert s.rows[0][2] <= 1e-15
 
-    @pytest.mark.parametrize("model,p", [("geometric", 0.3), ("nongeometric", 1.0)])
+    @pytest.mark.parametrize("model,p", [("geometric", 0.3), ("nongeometric", 0.5)])
     def test_matches_per_step_loop_reference(self, model, p):
         # Small N and a long t_max, so most runs are absorbed and held frozen.
         cfg = ExperimentConfig(
@@ -133,7 +135,7 @@ class TestLln:
         rows = []
         for cell, n in enumerate(cfg.n_values):
             params = ModelParams(n=n, kind=model, p=p)
-            orbit = det_orbit(n, model, cfg.t_max, p)
+            orbit = det_orbit(params, cfg.t_max)
             devs = []
             for rep in range(cfg.replications):
                 traj = simulate_trajectory(params, cfg.t_max, replication_rng(31, cell, rep))

@@ -96,11 +96,16 @@ def test_experiment_exits_0_or_2(kind, model, p, n, reps, tmax):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().strip(), argv
+    known = kind in harness.KINDS
+    # The model the run computes: --model, else the kind's own, else nongeometric.
+    run_model = {"geom": chain.GEOMETRIC, "nongeom": chain.NONGEOMETRIC}.get(model) or (
+        known and harness._DISPATCH[kind][2]) or chain.NONGEOMETRIC
     for flag in ("--p", "--n", "--tmax"):
         field, parse = cli._EXPERIMENT_INPUTS[flag[2:]]
-        unread = kind in harness.KINDS and field not in harness._DISPATCH[kind][1]
-        # An input the kind does not read runs only at its default value, and
-        # a rejection names an unread input that was given another value.
+        unread = known and (field not in harness._DISPATCH[kind][1]
+                            or field == "p_values" and run_model == chain.NONGEOMETRIC)
+        # An input the kind or its model does not read runs only at its default
+        # value, and a rejection names an unread input that was given another value.
         if code == 0 and unread and flag in given_flags:
             assert parse(given_flags[flag]) == _DEFAULTS[field], argv
         if f"does not read {field}," in err.getvalue():
