@@ -11,10 +11,14 @@ The sampler is exact: `sample_empbox` (one draw) and `sample_empbox_batch`
 boxes.  The batch throws its balls in chunks of about _CHUNK_BALLS, cut only
 between draws, so a call's memory is O(draws) plus one chunk (a draw with more
 balls than a chunk is a chunk by itself), and calls on several threads hold
-one chunk each.  Keys are int32 whenever every key
+one chunk each.  Each draw of a chunk owns a row of boxes padded to a multiple
+of 8, so a chunk of several draws with at most _MASK_BYTES_PER_BALL boxes per
+ball counts its rows by popcount over a uint64 occupancy mask; other chunks,
+and every single draw, sort their keys.  Keys are int32 whenever every key
 of a chunk fits (`_key_dtype`), int64 otherwise.  Consecutive calls draw the
 same integers as one call, and int32 the same as int64, so neither the
-chunking nor the key type nor the count method touches the random stream.
+chunking nor the row padding nor the key type nor the count method touches
+the random stream.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 
 EXACT_PMF_CAP = 64
 _CHUNK_BALLS = 2**16  # balls per rng.integers call of sample_empbox_batch
+_MASK_BYTES_PER_BALL = 14  # mask/sort crossover of _count_distinct
 
 
 class PmfUnavailableError(ValueError):
@@ -104,20 +109,23 @@ def _key_dtype(draws: int, boxes: int):
     return np.int32 if draws * boxes <= 2**31 else np.int64
 
 
-def _count_distinct(keys: np.ndarray, draws: int, boxes: int):
-    """Distinct boxes hit by each draw, from keys draw * boxes + box.
+def _count_distinct(keys: np.ndarray, draws: int, stride: int):
+    """Distinct boxes hit by each draw, from keys draw * stride + box.
 
-    Several draws with at least one ball per eight boxes scatter into a
-    (draws, boxes) occupancy mask, no larger than eight bytes per ball, and
-    sum its rows.  Otherwise the keys are sorted in place and the first key
-    of each run counted; a single draw always sorts, which timed faster than
-    its mask at every ratio a chain step reaches.  One draw gives an int,
-    several an array.
+    Several draws with at most _MASK_BYTES_PER_BALL boxes per ball scatter
+    into a (draws, stride) occupancy mask of one byte per box, whose rows of
+    stride // 8 uint64 words are counted by popcount; 14 is the highest
+    crossover that keeps the mask path within 20 B per ball of a chunk (the
+    keys' 4, the mask's 14, and numpy's index buffer), and the popcount timed
+    faster than the sort up to about 12 to 20 B of mask per ball.  Otherwise
+    the keys are sorted in place and the first key of each run counted; a
+    single draw always sorts, which timed faster than its mask at every ratio
+    a chain step reaches.  One draw gives an int, several an array.
     """
-    if draws > 1 and draws * boxes <= 8 * keys.size:
-        mask = np.zeros((draws, boxes), dtype=bool)
-        mask.reshape(-1)[keys] = True
-        return mask.sum(axis=1)
+    if draws > 1 and draws * stride <= _MASK_BYTES_PER_BALL * keys.size:
+        mask = np.zeros((draws, stride // 8), dtype=np.uint64)
+        mask.view(bool).reshape(-1)[keys] = True
+        return np.bitwise_count(mask, out=mask).sum(axis=1, dtype=np.int64)
     keys.sort()
     if draws == 1:
         return 1 + np.count_nonzero(keys[1:] != keys[:-1])
@@ -125,7 +133,7 @@ def _count_distinct(keys: np.ndarray, draws: int, boxes: int):
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     runs = keys[first]
-    runs //= boxes
+    runs //= stride
     return np.bincount(runs, minlength=draws)
 
 
@@ -143,10 +151,12 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
     Throws the balls in chunks of about _CHUNK_BALLS, cut only between draws;
     each chunk is one ``rng.integers`` call, whose integers are those of one
     call over all balls, so the stream is the same as for one draw per row.
-    Draw j of a chunk has its boxes offset by j * boxes before each draw's
-    distinct keys are counted.  Memory per call, so per thread, is O(draws)
-    for the result plus at most about 17 B per ball of one chunk, or of the
-    largest draw when that is larger; the result has the shape of `balls`.
+    Draw j of a chunk has its boxes offset by j * stride, boxes rounded up to
+    a multiple of 8, before each draw's distinct keys are counted.  Memory per
+    call, so per thread, is O(draws) for the result plus at most about 19 B per
+    ball of one chunk (measured with tracemalloc: 19.1 B for a mask at the
+    crossover, 17.0 B for a sort), or of the largest draw when that is larger;
+    the result has the shape of `balls`.
     """
     balls = np.asarray(balls, dtype=np.int64)
     if boxes < 1:
@@ -156,16 +166,17 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
         raise ValueError("balls must be >= 0")
     out = np.full(flat.size, boxes, dtype=np.int64)
     ends = np.cumsum(flat)
+    stride = -(-boxes // 8) * 8
     start = 0
     while start < flat.size:
         thrown = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, thrown + _CHUNK_BALLS, side="right")))
         total, draws = int(ends[stop - 1]) - thrown, stop - start
         if total:
-            keys = rng.integers(0, boxes, size=total, dtype=_key_dtype(draws, boxes))
+            keys = rng.integers(0, boxes, size=total, dtype=_key_dtype(draws, stride))
             if draws > 1:
-                keys += np.repeat(np.arange(draws, dtype=keys.dtype) * boxes, flat[start:stop])
-            out[start:stop] -= _count_distinct(keys, draws, boxes)
+                keys += np.repeat(np.arange(draws, dtype=keys.dtype) * stride, flat[start:stop])
+            out[start:stop] -= _count_distinct(keys, draws, stride)
         start = stop
     return out.reshape(balls.shape)
 

@@ -211,10 +211,40 @@ class TestEmpboxCount:
     )
     def test_batch_matches_unique(self, balls, boxes, mask):
         total = int(np.sum(balls))
-        assert (np.size(balls) * boxes <= 8 * total) == mask or total == 0
+        stride = -(-boxes // 8) * 8
+        assert (np.size(balls) * stride <= occupancy._MASK_BYTES_PER_BALL * total) == mask or total == 0
         out = sample_empbox_batch(balls, boxes, np.random.default_rng(11))
         assert out.shape == np.shape(balls)
         assert (out == _unique_reference(balls, boxes, 11)).all()
+
+    @pytest.mark.parametrize("side", ["mask", "sort"])
+    @pytest.mark.parametrize("boxes", [1, 3, 7, 9, 715, 1001])
+    def test_padded_rows_either_side_of_crossover(self, monkeypatch, boxes, side):
+        # 40 draws, many of them empty, with just enough balls for the padded
+        # mask, or one ball too few; cut into chunks, they must still match.
+        draws, stride = 40, -(-boxes // 8) * 8
+        total = -(-draws * stride // occupancy._MASK_BYTES_PER_BALL) - (side == "sort")
+        hits = np.random.default_rng([boxes, total]).integers(0, draws, size=total)
+        hits[hits % 5 == 0] += 1  # draws 0, 5, ..., 35 throw no ball
+        balls = np.bincount(hits, minlength=draws)
+        assert (draws * stride <= occupancy._MASK_BYTES_PER_BALL * total) == (side == "mask")
+        rng_whole, rng_chunked = np.random.default_rng(22), np.random.default_rng(22)
+        whole = sample_empbox_batch(balls, boxes, rng_whole)
+        assert (whole == _unique_reference(balls, boxes, 22)).all()
+        monkeypatch.setattr(occupancy, "_CHUNK_BALLS", total // 3)
+        assert (sample_empbox_batch(balls, boxes, rng_chunked) == whole).all()
+        assert rng_chunked.bit_generator.state == rng_whole.bit_generator.state
+
+    def test_batch_stream_golden(self):
+        # Frozen outputs of one mask-counted and one sorted batch at a fixed
+        # seed; any change to the integers drawn or their order shows here.
+        rng = np.random.default_rng(2024)
+        mask_balls = [9, 0, 14, 7, 11, 20, 5, 16, 12, 3, 8, 18]
+        sort_balls = [50, 0, 61, 38, 55, 47, 12, 59, 44, 30, 52, 40]
+        assert sample_empbox_batch(mask_balls, 13, rng).tolist() == [6, 13, 4, 7, 4, 4, 8, 4, 5, 10, 6, 3]
+        assert sample_empbox_batch(sort_balls, 1001, rng).tolist() == [
+            951, 1001, 940, 964, 951, 956, 989, 942, 959, 972, 950, 961]
+        assert int(rng.integers(2**62)) == 1060783042283745951
 
     @pytest.mark.parametrize("b,c", [(7, 20), (7, 10**4), (1, 1), (40, 3), (0, 5)])
     def test_scalar_matches_unique(self, b, c):
@@ -287,6 +317,23 @@ class TestEmpboxChunks:
             draws.append(counts.size)
         assert peaks[1] - peaks[0] <= 24 * (draws[1] - draws[0])
         assert peaks[1] < 24 * draws[1] + 20 * occupancy._CHUNK_BALLS
+
+    @pytest.mark.parametrize("draws", [2, 2048])
+    def test_peak_memory_mask_at_crossover(self, draws):
+        # One chunk of balls with the most mask per ball that is still counted
+        # by mask keeps the per-chunk bound of test_peak_memory_bounded_in_balls.
+        per_draw = occupancy._CHUNK_BALLS // draws
+        stride = occupancy._MASK_BYTES_PER_BALL * per_draw
+        assert stride % 8 == 0
+        counts = np.full(draws, per_draw)
+        rng = np.random.default_rng(15)
+        tracemalloc.start()
+        try:
+            sample_empbox_batch(counts, stride - 7, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * draws + 20 * occupancy._CHUNK_BALLS
 
 
 class TestBinomialSampler:
