@@ -370,7 +370,7 @@ def fig1_data(cfg: ExperimentConfig) -> RunSummary:
 
 
 def fig3_data(cfg: ExperimentConfig) -> RunSummary:
-    """Nongeometric long-run unvisited fraction per N (ascending grid)."""
+    """Nongeometric long-run unvisited fraction, one row per N in the order given."""
     rows = []
     for n in cfg.n_values:
         res = dynamics.iterate_limit(chain.ModelParams(n, cfg.model))

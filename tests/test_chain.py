@@ -291,6 +291,24 @@ class TestMomentsHighPrecision:
                 for got, ref in ((m.e_unvisited, i * q1), (m.e_active, survive * a + i * (1 - q1))):
                     assert abs(got - ref) <= 1e-15 * abs(ref), (i, a)
 
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.8), (NONGEOMETRIC, 1.0)])
+    @pytest.mark.parametrize("n", [10**3, 10**6, 10**9])
+    def test_var_unvisited_against_high_precision(self, kind, p, n):
+        # Var I' = I^2 (q2 - q1^2) + I (q1 - q2), against 60 digits over 200 random
+        # states, to 1e-15 of the larger part I (q1 - q2); summed as
+        # I ((I - 1) q2 - I q1^2 + q1) it was off by up to 1.5e-4 relative at N = 1e9.
+        params = ModelParams(n=n, kind=kind, p=p)
+        rng = np.random.default_rng([n, len(kind), 2])
+        with mpmath.workdps(60):
+            for _ in range(200):
+                i = int(rng.integers(0, n + 1))
+                a = int(rng.integers(0, n + 2 - i))
+                got = moments(ChainState(i, a, n + 1 - i - a), params).var_unvisited
+                hit = mpmath.mpf(p) if kind == GEOMETRIC else mpmath.mpf(1)
+                q1, q2 = (1 - hit / n) ** a, (1 - 2 * hit / n) ** a
+                ref = i * i * (q2 - q1 * q1) + i * (q1 - q2)
+                assert abs(got - ref) <= 1e-15 * i * (q1 - q2), (i, a)
+
 
 class TestOneStepLawEquivalence:
     """Empirical one-step law of (I', A') vs exhaustive enumeration, N <= 4."""
