@@ -104,9 +104,9 @@ def empbox_variance(spec: OccupancySpec) -> float:
     )
 
 
-def _key_dtype(draws: int, boxes: int):
-    """int32 when every key draw * boxes + box of `draws` draws fits, else int64."""
-    return np.int32 if draws * boxes <= 2**31 else np.int64
+def _key_dtype(draws: int, stride: int):
+    """int32 when every key draw * stride + box of `draws` draws fits, else int64."""
+    return np.int32 if draws * stride <= 2**31 else np.int64
 
 
 def _count_distinct(keys: np.ndarray, draws: int, stride: int):
@@ -114,10 +114,10 @@ def _count_distinct(keys: np.ndarray, draws: int, stride: int):
 
     Several draws with at most _MASK_BYTES_PER_BALL boxes per ball scatter
     into a (draws, stride) occupancy mask of one byte per box, whose rows of
-    stride // 8 uint64 words are counted by popcount; 14 is the highest
-    crossover that keeps the mask path within 20 B per ball of a chunk (the
-    keys' 4, the mask's 14, and numpy's index buffer), and the popcount timed
-    faster than the sort up to about 12 to 20 B of mask per ball.  Otherwise
+    stride // 8 uint64 words are counted by popcount in place; 14 is the
+    highest crossover that keeps the mask path within 20 B per ball of a chunk
+    (the keys' 4, the mask's 14, and numpy's index buffer), and the popcount
+    timed faster than the sort up to about 12 to 20 B of mask per ball.  Otherwise
     the keys are sorted in place and the first key of each run counted; a
     single draw always sorts, which timed faster than its mask at every ratio
     a chain step reaches.  One draw gives an int, several an array.
