@@ -114,13 +114,13 @@ def _count_distinct(keys: np.ndarray, draws: int, stride: int):
 
     Several draws with at most _MASK_BYTES_PER_BALL boxes per ball scatter
     into a (draws, stride) occupancy mask of one byte per box, whose rows of
-    stride // 8 uint64 words are counted by popcount in place; 14 is the
-    highest crossover that keeps the mask path within 20 B per ball of a chunk
-    (the keys' 4, the mask's 14, and numpy's index buffer), and the popcount
-    timed faster than the sort up to about 12 to 20 B of mask per ball.  Otherwise
-    the keys are sorted in place and the first key of each run counted; a
-    single draw always sorts, which timed faster than its mask at every ratio
-    a chain step reaches.  One draw gives an int, several an array.
+    stride // 8 uint64 words are counted by popcount in place.  14 is the
+    highest crossover that keeps a chunk within 20 B per ball (4 for the keys,
+    14 for the mask, and numpy's 64 kB index buffer); the popcount timed
+    faster than the sort up to 12 to 20 B of mask per ball.  Otherwise the
+    keys are sorted in place and the first key of each run counted; a single
+    draw always sorts, which timed faster than its mask at every ratio a chain
+    step reaches.  One draw gives an int, several an array.
     """
     if draws > 1 and draws * stride <= _MASK_BYTES_PER_BALL * keys.size:
         mask = np.zeros((draws, stride // 8), dtype=np.uint64)
