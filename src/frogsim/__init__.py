@@ -4,7 +4,6 @@ __version__ = "0.1.0"  # before the imports: harness builds its VERSION from it
 
 from .occupancy import (
     OccupancySpec,
-    PmfUnavailableError,
     empbox_mean,
     empbox_pmf,
     empbox_variance,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .occupancy import OccupancySpec, ratio_pow, sample_binomial, sample_empbox
+from .occupancy import OccupancySpec, miss_variance, ratio_pow, sample_binomial, sample_empbox
 
 GEOMETRIC = "geometric"
 NONGEOMETRIC = "nongeometric"
@@ -181,10 +181,8 @@ def moments(state: ChainState, params: ModelParams) -> OneStepMoments:
     reaches a given vertex with probability hit/N (`model_rates`), so
     q_k = (1 - k hit/N)^A is the chance that k given vertices are all missed.
     I' counts the unvisited vertices missed, A' = X + I - I', D' = D + A - X;
-    `ratio_pow` gives q_1 and 1 - q_1 at full precision.  Var I' =
-    I^2 (q_2 - q_1^2) + I (q_1 - q_2) takes both differences from `expm1`, as
-    q_1^2 ((1 - y^2)^A - 1) and -q_1 ((1 - y)^A - 1) with y = hit / (N - hit),
-    so its error is a few ulps of I (q_1 - q_2), not of I^2 q_1^2.
+    `ratio_pow` gives q_1 and 1 - q_1 at full precision, and `miss_variance`
+    gives Var I' = I^2 (q_2 - q_1^2) + I (q_1 - q_2) without cancellation.
     """
     validate_state(state, params)
     n = params.n
@@ -194,8 +192,7 @@ def moments(state: ChainState, params: ModelParams) -> OneStepMoments:
     e_i = i * q1
     e_a = survive * a - i * ratio_pow(n, hit, a, math.expm1)
     e_d = d + (1.0 - survive) * a
-    y = hit / (n - hit)
-    var_i = i * q1 * (i * q1 * math.expm1(a * math.log1p(-y * y)) - math.expm1(a * math.log1p(-y)))
+    var_i = miss_variance(i, n, hit, a)
     var_d = a * survive * (1.0 - survive)
     cov_ix = -hit * a * i * q1 * (1.0 - survive) / (n - hit)
     var_a = var_i + var_d - 2.0 * cov_ix

@@ -1,10 +1,9 @@
 """Empty-boxes (occupancy) distribution and binomial sampling primitives.
 
 EmpBox(b, c) is the law of the number of empty boxes after b balls are
-thrown independently and uniformly into c boxes.  The exact pmf uses the
-alternating inclusion-exclusion sum, which cancels catastrophically for
-large c, so it is hard-capped at EXACT_PMF_CAP boxes; at scale callers
-must use the sampler instead.
+thrown independently and uniformly into c boxes.  Its exact pmf, at any box
+count, comes from the occupancy recursion, one ball at a time; its mean and
+variance are closed forms that keep full precision at any b and c.
 
 The sampler is exact: `sample_empbox` (one draw) and `sample_empbox_batch`
 (many) throw the balls with ``rng.integers`` and count each draw's distinct
@@ -25,17 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-EXACT_PMF_CAP = 64
 _CHUNK_BALLS = 2**16  # balls per rng.integers call of sample_empbox_batch
 _MASK_BYTES_PER_BALL = 14  # mask/sort crossover of _count_distinct
-
-
-class PmfUnavailableError(ValueError):
-    """Exact pmf requested beyond the box-count cap; use the sampler."""
 
 
 @dataclass(frozen=True)
@@ -61,30 +54,37 @@ def ratio_pow(c: int, j: float, b: int, f=math.exp) -> float:
     return f(b * math.log1p(-j / c))
 
 
-def empbox_pmf(spec: OccupancySpec) -> np.ndarray:
-    """Exact pmf of EmpBox(b, c), indexed x = 0..c.
+def miss_variance(i: int, n: int, hit: float, a: int) -> float:
+    """Var of how many of i given boxes all of a balls miss, each ball landing in a
+    given box with probability hit/n and in at most one of them.
 
-    The alternating inclusion-exclusion sum cancels catastrophically in
-    floating point already for moderate c, so the terms are accumulated
-    in exact rational arithmetic and rounded once at the end; the box
-    count is capped because the cost grows with c (and at scale only the
-    sampler is needed anyway).
+    That is i^2 (q_2 - q_1^2) + i (q_1 - q_2), q_k = (1 - k hit/n)^a, with both
+    differences from `expm1`: q_1^2 ((1 - y^2)^a - 1) and -q_1 ((1 - y)^a - 1),
+    y = hit / (n - hit).  So its error is a few ulps of i (q_1 - q_2), not of
+    i^2 q_1^2; `ratio_pow` takes the edges y >= 1 and a = 0.
+    """
+    q1 = ratio_pow(n, hit, a)
+    y = hit / (n - hit) if n > hit else math.inf
+    return i * q1 * (i * q1 * ratio_pow(1, y * y, a, math.expm1) - ratio_pow(1, y, a, math.expm1))
+
+
+def empbox_pmf(spec: OccupancySpec) -> np.ndarray:
+    """Exact pmf of EmpBox(b, c), indexed x = 0..c, at any box count.
+
+    From P_0 = delta_c, each ball takes P(x) to P(x) (c - x)/c + P(x + 1) (x + 1)/c:
+    it lands in an occupied box or fills one of the x + 1 empty ones (the classical
+    occupancy chain, Johnson & Kotz, Urn Models, 1977).  Every term is
+    non-negative, so nothing cancels; the cost is b steps of length c + 1.
     """
     b, c = spec.balls, spec.boxes
-    if c > EXACT_PMF_CAP:
-        raise PmfUnavailableError(
-            f"pmf-unavailable: boxes={c} exceeds exact cap {EXACT_PMF_CAP}; "
-            "use sample_empbox instead"
-        )
-    denom = c**b
+    x = np.arange(c + 1)
+    stay, fill = (c - x) / c, x[1:] / c
     pmf = np.zeros(c + 1)
-    for x in range(c + 1):
-        acc = 0
-        for i in range(c - x + 1):
-            k = x + i
-            term = math.comb(k, i) * math.comb(c, k) * (c - k) ** b
-            acc = acc - term if i % 2 else acc + term
-        pmf[x] = float(Fraction(acc, denom))
+    pmf[c] = 1.0
+    for _ in range(b):
+        filled = pmf[1:] * fill
+        pmf *= stay
+        pmf[:-1] += filled
     return pmf
 
 
@@ -95,13 +95,8 @@ def empbox_mean(spec: OccupancySpec) -> float:
 
 
 def empbox_variance(spec: OccupancySpec) -> float:
-    """Var(X) = c(c-1)((c-2)/c)^b + c((c-1)/c)^b - c^2((c-1)/c)^(2b)."""
-    b, c = spec.balls, spec.boxes
-    return (
-        c * (c - 1) * ratio_pow(c, 2, b)
-        + c * ratio_pow(c, 1, b)
-        - c * c * ratio_pow(c, 1, 2 * b)
-    )
+    """Var(X) for X ~ EmpBox(b, c): c boxes each missed by b balls, from `miss_variance`."""
+    return miss_variance(spec.boxes, spec.boxes, 1, spec.balls)
 
 
 def _key_dtype(draws: int, stride: int):

@@ -19,7 +19,7 @@ from frogsim.chain import (
     step_geometric,
     step_nongeometric,
 )
-from frogsim.harness import one_step_samples
+from frogsim.harness import ExperimentConfig, moment_panel, one_step_samples
 from frogsim.occupancy import OccupancySpec, empbox_pmf
 
 
@@ -311,7 +311,7 @@ class TestMomentsHighPrecision:
 
 
 class TestOneStepLawEquivalence:
-    """Empirical one-step law of (I', A') vs exhaustive enumeration, N <= 4."""
+    """Empirical one-step law of (I', A') vs exhaustive enumeration."""
 
     @pytest.mark.parametrize(
         "kind,p,state,n",
@@ -320,6 +320,9 @@ class TestOneStepLawEquivalence:
             (GEOMETRIC, 0.4, ChainState(2, 2, 1), 4),
             (NONGEOMETRIC, 1.0, ChainState(3, 2, 0), 4),
             (NONGEOMETRIC, 1.0, ChainState(2, 1, 2), 4),
+            (GEOMETRIC, 0.6, ChainState(9, 40, 16), 64),
+            (NONGEOMETRIC, 1.0, ChainState(17, 30, 18), 64),
+            (GEOMETRIC, 0.9, ChainState(64, 1, 0), 64),
         ],
     )
     def test_chi_square(self, kind, p, state, n):
@@ -350,6 +353,31 @@ class TestOneStepLawEquivalence:
             obs = np.array([counts[k] for k in keys])
             _, pval = scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())
             assert pval > 0.001
+
+    @pytest.mark.parametrize("kind,cell", [(GEOMETRIC, 35), (NONGEOMETRIC, 38)])
+    def test_unvisited_law_at_audit_cells(self, kind, cell):
+        # I' at two N = 1000 cells of the moment audit (seed 2718, p = 0.5), drawn
+        # as the audit draws them, against sum_z Bin(A, hit I/N)(z) EmpBox(z, I):
+        # Z is a thinned binomial in both models.  Cell 35, (707, 28, 266), counts
+        # its rows by sort; cell 38, (715, 281, 5), by popcount mask.
+        draws = 20000
+        cfg = ExperimentConfig(kind="moments", model=kind, p_values=(0.5,), replications=draws, seed=2718)
+        state, params = moment_panel(cfg, replication_rng(2718, 999))[cell]
+        assert params.n == 1000
+        i, a = state.unvisited, state.active
+        hit = params.p if kind == GEOMETRIC else 1.0
+        law = np.zeros(i + 1)
+        zs = np.arange(a + 1)
+        for z, pz in zip(zs, scipy.stats.binom.pmf(zs, a, hit * i / params.n)):
+            if pz > 1e-15:
+                law += pz * empbox_pmf(OccupancySpec(int(z), i))
+        i1, _a1, _d1 = one_step_samples(state, params, draws, replication_rng(2718, cell, 0))
+        exp = law * draws
+        obs = np.bincount(i1, minlength=i + 1)
+        assert obs[exp == 0].sum() == 0
+        keep = exp >= 5
+        _, pval = scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())
+        assert pval > 0.001
 
 
 class TestMonteCarloMomentAgreement:

@@ -1,24 +1,51 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from frogsim import cli
 from frogsim.chain import NONGEOMETRIC, ModelParams
 from test_dynamics import hp_orbit
 
 
 def run_cli(*args, env=None):
-    import os
+    """`frogsim *args` run in this process: its exit code, stdout and stderr.
 
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "frogsim.cli", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
+    Every warning reaches stderr, as in a fresh interpreter, and `env` is
+    applied to os.environ for the call only.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), warnings.catch_warnings():
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(args))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["simulate", "--model", "geom", "--n", "30", "--p", "0.7", "--tmax", "5", "--seed", "2"], 0),
+        (["det", "--model", "nongeom", "--n", "100", "--tmax", "3"], 0),
+        (["limits", "--p", "0.4", "--closed-form"], 0),
+        (["experiment", "--kind", "final", "--n", "20", "--reps", "3", "--seed", "1"], 0),
+        (["experiment", "--kind", "lln", "--reps", "1"], 2),
+    ],
+    ids=["simulate", "det", "limits", "experiment", "exit-2"],
+)
+def test_module_entry_point(args, code):
+    # `python -m frogsim.cli` in a new interpreter: the __main__ guard passes
+    # main's exit code through, with the output of an in-process call.
+    res = subprocess.run([sys.executable, "-m", "frogsim.cli", *args], capture_output=True, text=True)
+    assert res.returncode == code
+    here = run_cli(*args)
+    assert (res.returncode, res.stdout, res.stderr) == (here.returncode, here.stdout, here.stderr)
 
 
 class TestSimulate:
@@ -476,7 +503,7 @@ class TestExperiment:
         # replication or an audit cell.
         import threading
 
-        from frogsim import chain, cli, harness
+        from frogsim import chain, harness
 
         monkeypatch.setattr(harness, "_THREAD_MIN_N", 0)
         threads = set()

@@ -3,15 +3,14 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 
 import frogsim.occupancy as occupancy
 from frogsim.occupancy import (
-    EXACT_PMF_CAP,
     OccupancySpec,
-    PmfUnavailableError,
     empbox_mean,
     empbox_pmf,
     empbox_variance,
@@ -45,6 +44,22 @@ def _compositions(b, c):
             yield (head,) + rest
 
 
+def inclusion_exclusion_pmf(b: int, c: int) -> list[Fraction]:
+    """Oracle: exact pmf from the alternating inclusion-exclusion sum,
+    P(x) = sum_i (-1)^i C(x + i, i) C(c, x + i) ((c - x - i)/c)^b, in rationals."""
+    terms = [[math.comb(x + i, i) * math.comb(c, x + i) * (c - x - i) ** b for i in range(c - x + 1)]
+             for x in range(c + 1)]
+    return [Fraction(sum(t[0::2]) - sum(t[1::2]), c**b) for t in terms]
+
+
+def _chi_square_pvalue(obs, pmf):
+    """p-value of the counts `obs` against the law `pmf`, over the bins expected >= 5."""
+    exp = pmf * obs.sum()
+    assert obs[exp == 0].sum() == 0
+    keep = exp >= 5
+    return scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())[1]
+
+
 class TestSpecValidation:
     def test_negative_balls_rejected(self):
         with pytest.raises(ValueError):
@@ -53,10 +68,6 @@ class TestSpecValidation:
     def test_zero_boxes_rejected(self):
         with pytest.raises(ValueError):
             OccupancySpec(2, 0)
-
-    def test_cap_exceeded(self):
-        with pytest.raises(PmfUnavailableError):
-            empbox_pmf(OccupancySpec(2, EXACT_PMF_CAP + 1))
 
 
 class TestPmf:
@@ -86,6 +97,31 @@ class TestPmf:
         assert abs(pmf.sum() - 1.0) <= 1e-12
         assert (pmf >= -1e-12).all()
 
+    @pytest.mark.parametrize("c", range(1, 65))
+    def test_matches_inclusion_exclusion(self, c):
+        # The occupancy recursion against the rational inclusion-exclusion sum, on
+        # every atom that does not underflow.
+        for b in (0, 1, 2, 5, 13, 39, 64, 200):
+            pmf = empbox_pmf(OccupancySpec(b, c))
+            oracle = np.array([float(v) for v in inclusion_exclusion_pmf(b, c)])
+            atoms = oracle > 1e-300
+            assert (pmf[~atoms] <= 1e-290).all()
+            np.testing.assert_allclose(pmf[atoms], oracle[atoms], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("c", [65, 715, 1001])
+    def test_wide_boxes(self, c):
+        # Past the 64 boxes that the rational sum could afford: a law whose
+        # moments are the closed forms.
+        xs = np.arange(c + 1)
+        for b in (2, c // 2, c, 3 * c):
+            spec = OccupancySpec(b, c)
+            pmf = empbox_pmf(spec)
+            assert (pmf >= 0).all()
+            assert abs(pmf.sum() - 1.0) <= 1e-12
+            mean = float(pmf @ xs)
+            assert mean == pytest.approx(empbox_mean(spec), rel=1e-9)
+            assert float(pmf @ (xs - mean) ** 2) == pytest.approx(empbox_variance(spec), rel=1e-9)
+
 
 class TestMoments:
     def test_mean_zero_balls(self):
@@ -112,6 +148,20 @@ class TestMoments:
         var = float(pmf @ (xs - mean) ** 2)
         assert empbox_mean(OccupancySpec(b, c)) == pytest.approx(mean, abs=1e-10)
         assert empbox_variance(OccupancySpec(b, c)) == pytest.approx(var, abs=1e-10)
+
+    @pytest.mark.parametrize("c", [10**3, 10**6, 10**9, 10**12])
+    def test_variance_against_high_precision(self, c):
+        # Var = c^2 (q2 - q1^2) + c (q1 - q2), q_k = (1 - k/c)^b, against 60 digits, to
+        # 1e-15 of c (q1 - q2); summed as c(c-1) q2 + c q1 - c^2 q1^2 it was 1.34e8
+        # at (b, c) = (3, 1e12), where Var = 3.0e-12.
+        rng = np.random.default_rng([c, 3])
+        balls = [0, 1, 2, 3, c, 3 * c] + [int(v) for v in np.exp(rng.uniform(0, math.log(3 * c), 100))]
+        with mpmath.workdps(60):
+            for b in balls:
+                got = empbox_variance(OccupancySpec(b, c))
+                q1, q2 = (1 - mpmath.mpf(1) / c) ** b, (1 - mpmath.mpf(2) / c) ** b
+                ref = c * c * (q2 - q1 * q1) + c * (q1 - q2)
+                assert abs(got - ref) <= 1e-15 * c * (q1 - q2), b
 
     def test_stable_at_large_counts(self):
         # b ~ N regime: must not underflow or lose the mean entirely.
@@ -182,6 +232,32 @@ class TestEmpboxSampler:
             keep = exp > 5
             _, pval = scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())
             assert pval > 0.001
+
+
+class TestEmpboxLawAtWidth:
+    """Draws at the row widths the chains use, against the exact pmf: the
+    single-draw sort, and batches counted by popcount mask or by sort, on rows
+    of 2 to 126 uint64 words."""
+
+    @pytest.mark.parametrize("path", ["single", "mask", "sort"])
+    @pytest.mark.parametrize("boxes", [9, 17, 64, 100, 715, 1001])
+    def test_chi_square_against_pmf(self, boxes, path):
+        balls, draws = boxes // 2 + 1, 20000
+        stride = -(-boxes // 8) * 8
+        rng = np.random.default_rng([boxes, len(path)])
+        if path == "single":
+            out = np.array([sample_empbox(OccupancySpec(balls, boxes), rng) for _ in range(draws)])
+        else:
+            # Each draw of the law alone, at under 4 B of mask per ball (mask), or
+            # followed by 15 zero-ball draws, at over 30 (sort).  Zero-ball draws
+            # draw no integers, so both batches count the same stream.
+            zeros = 0 if path == "mask" else 15
+            assert (stride * (zeros + 1) <= occupancy._MASK_BYTES_PER_BALL * balls) == (path == "mask")
+            rows = np.zeros((draws, zeros + 1), dtype=np.int64)
+            rows[:, 0] = balls
+            out = sample_empbox_batch(rows, boxes, rng)[:, 0]
+        obs = np.bincount(out, minlength=boxes + 1)
+        assert _chi_square_pvalue(obs, empbox_pmf(OccupancySpec(balls, boxes))) > 0.001
 
 
 def _unique_reference(balls, boxes, seed):
