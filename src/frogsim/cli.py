@@ -3,12 +3,14 @@
 Data goes to --out (or stdout); diagnostics go to stderr.  Exit codes:
 0 success (including flagged non-convergence), 1 I/O failure, 2 usage.
 FROGSIM_SEED provides simulate and experiment a default seed when --seed is absent.
+experiment --config reads its key=value lines as the flags --key=value; flags override them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -20,12 +22,22 @@ from .harness import format_value
 _MODEL = {"geom": "geometric", "nongeom": "nongeometric"}
 
 
-def _default_seed() -> int:
-    text = os.environ.get("FROGSIM_SEED", "0")
+def _seed(text: str) -> int:
+    """A master seed: an integer >= 0, as `numpy.random.SeedSequence` takes."""
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise ValueError(f"FROGSIM_SEED must be an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def _default_seed() -> int:
+    try:
+        return _seed(os.environ.get("FROGSIM_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"FROGSIM_SEED {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -81,8 +93,6 @@ def cmd_det(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    if not 0.0 < args.p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {args.p}")
     lines = []
     if args.n is not None:
         lines.append(f"iota_inf_N={format_value(dynamics.fixed_point_tauN(args.p, args.n))}")
@@ -92,8 +102,12 @@ def cmd_limits(args) -> int:
     return 0
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
+_CONFIG_KEYS = ("kind", "model", "p", "n", "tmax", "reps", "seed")
+
+
+def _config_argv(path: str) -> list[str]:
+    """The key=value lines of a --config file as the flags --key=value."""
+    argv = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -103,10 +117,10 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in _EXPERIMENT_INPUTS:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r} in {path}")
-            values[key] = val.strip()
-    return values
+            argv.append(f"--{key}={val.strip()}")
+    return argv
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -117,33 +131,16 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v)
 
 
-# Each experiment flag, which is also its --config key: the ExperimentConfig
-# field it sets and the parser of its --config value.  A key given neither way
-# is left out, so the field keeps its ExperimentConfig default.
-_EXPERIMENT_INPUTS = {
-    "kind": ("kind", str),
-    "model": ("model", str),
-    "p": ("p_values", _float_list),
-    "n": ("n_values", _int_list),
-    "tmax": ("t_max", int),
-    "reps": ("replications", int),
-    "seed": ("seed", int),
-}
-
-
 def cmd_experiment(args) -> int:
-    file_vals = _parse_config_file(args.config) if args.config else {}
-    fields = {}
-    for key, (field, parse) in _EXPERIMENT_INPUTS.items():
-        if getattr(args, key) is not None:
-            fields[field] = getattr(args, key)
-        elif key in file_vals:
-            fields[field] = parse(file_vals[key])
+    # Each experiment flag's dest is the ExperimentConfig field it sets; a flag
+    # given neither on the command line nor in --config leaves its field at its default.
+    names = [f.name for f in dataclasses.fields(harness.ExperimentConfig)]
+    fields = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if "kind" not in fields:
         print("experiment: missing kind", file=sys.stderr)
         return 2
     if "model" in fields:
-        fields["model"] = _MODEL.get(fields["model"], fields["model"])
+        fields["model"] = _MODEL[fields["model"]]
     fields.setdefault("seed", _default_seed())
     summary = harness.run_experiment(harness.ExperimentConfig(**fields))
     text = (
@@ -173,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=float, default=1.0)
     p_sim.add_argument("--tmax", type=int, required=True)
     add_output(p_sim)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=_seed, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("det", help="run a deterministic orbit")
@@ -196,22 +193,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a harness experiment")
     p_exp.add_argument("--kind", choices=harness.KINDS, default=None)
     p_exp.add_argument("--model", choices=("geom", "nongeom"), default=None)
-    p_exp.add_argument("--p", type=_float_list, default=None, help="comma-separated")
-    p_exp.add_argument("--n", type=_int_list, default=None, help="comma-separated")
-    p_exp.add_argument("--tmax", type=int, default=None)
-    p_exp.add_argument("--reps", type=int, default=None)
+    p_exp.add_argument("--p", type=_float_list, dest="p_values", metavar="P", help="comma-separated")
+    p_exp.add_argument("--n", type=_int_list, dest="n_values", metavar="N", help="comma-separated")
+    p_exp.add_argument("--tmax", type=int, dest="t_max", metavar="TMAX")
+    p_exp.add_argument("--reps", type=int, dest="replications", metavar="REPS")
     p_exp.add_argument("--config", default=None, help="key=value config file")
     p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_exp.add_argument("--seed", type=int, default=None)
+    p_exp.add_argument("--seed", type=_seed, default=None)
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

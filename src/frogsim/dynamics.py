@@ -164,27 +164,22 @@ def _least_root(f: float, s: float) -> float:
 
 def iota_infinity(p: float) -> float:
     """Large-N limit of the geometric long-run unvisited fraction."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if p <= 0.5:
-        return 1.0
-    return _least_root(phi(p), 1.0)
+    f = phi(p)
+    return 1.0 if p <= 0.5 else _least_root(f, 1.0)
 
 
 def fixed_point_tauN(p: float, n: int) -> float:
     """Unique fixed point in [0, 1) of tau_N(x) = (N/(N+1)) exp(-phi(p)(1-x))."""
+    f = phi(p)
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    return _least_root(phi(p), n / (n + 1))
+    return _least_root(f, n / (n + 1))
 
 
 def fixed_points_tau(p: float) -> tuple[float, ...]:
     """Fixed points of tau(x) = exp(-phi(p)(1-x)) in [0, 1], increasing."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if p <= 0.5:
-        return (1.0,)
-    return (iota_infinity(p), 1.0)
+    iota = iota_infinity(p)
+    return (1.0,) if p <= 0.5 else (iota, 1.0)
 
 
 def alpha_peak_index(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> PeakResult:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass, asdict, fields
@@ -67,12 +68,8 @@ class ExperimentConfig:
         own_model = _DISPATCH[self.kind][2]
         if self.model is None:
             object.__setattr__(self, "model", own_model or chain.NONGEOMETRIC)
-        if self.model not in (chain.GEOMETRIC, chain.NONGEOMETRIC):
-            raise ValueError(f"unknown model {self.model!r}")
         if own_model not in (None, self.model):
             raise ValueError(f"{self.kind} computes the {own_model} model, got {self.model!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
         if self.kind in ("lln", "final", "phase") and self.replications < 2:
             raise ValueError(f"{self.kind} needs replications >= 2 for its sd")
         if self.kind == "moments" and self.replications < 2 * _VAR_BATCHES:
@@ -86,10 +83,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} takes one p value, got {len(self.p_values)}")
         if self.kind == "phase" and len(self.n_values) > 1:
             raise ValueError(f"phase takes one n value, got {len(self.n_values)}")
-        if any(n < 3 for n in self.n_values):
-            raise ValueError("all n values must be >= 3")
-        if any(not 0.0 <= p <= 1.0 for p in self.p_values):
-            raise ValueError("all p values must be in [0, 1]")
+        for n, p in itertools.product(self.n_values, self.p_values):
+            chain.ModelParams(n, self.model, p)
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
         reads = _DISPATCH[self.kind][1]

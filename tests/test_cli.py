@@ -467,6 +467,35 @@ class TestExperiment:
         assert at_default.returncode == 0
         assert at_default.stdout == run_cli("experiment", *args).stdout
 
+    @pytest.mark.parametrize(
+        "bad,args,env,named",
+        [
+            ("model=geometric", [], {}, "argument --model: invalid choice: 'geometric'"),
+            ("reps=abc", [], {}, "argument --reps: invalid int value: 'abc'"),
+            ("kind=bogus", [], {}, "argument --kind: invalid choice: 'bogus'"),
+            ("seed=-5", [], {}, "argument --seed: must be >= 0, got -5"),
+            (None, ["experiment", "--kind", "fig1", "--seed", "-5"], {}, "argument --seed: must be >= 0"),
+            (None, ["experiment", "--kind", "final", "--n", "20", "--reps", "3", "--seed", "-5"], {},
+             "argument --seed: must be >= 0"),
+            (None, ["simulate", "--model", "nongeom", "--n", "10", "--tmax", "1", "--seed", "-5"], {},
+             "argument --seed: must be >= 0"),
+            (None, ["simulate", "--model", "nongeom", "--n", "10", "--tmax", "1"],
+             {"FROGSIM_SEED": "-5"}, "error: FROGSIM_SEED must be >= 0, got -5"),
+        ],
+        ids=["config-model", "config-reps", "config-kind", "config-seed",
+             "seed-fig1", "seed-final", "seed-simulate", "env-seed"],
+    )
+    def test_inputs_checked_alike_from_every_source(self, tmp_path, bad, args, env, named):
+        # A --config line is read as its flag, and every seed must be >= 0.
+        if bad is not None:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"kind=final\nmodel=geom\np=0.6\nn=50\nreps=3\n{bad}\n")
+            args = ["experiment", "--config", str(cfg)]
+        res = run_cli(*args, env=env)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert named in res.stderr and "Traceback" not in res.stderr
+
     def test_unread_input_in_config_file_exit_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kind=fig3\nn=100\np=0.9\n")

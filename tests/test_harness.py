@@ -53,6 +53,13 @@ class TestConfig:
             ExperimentConfig(kind="phase", n_values=(20, 30))
         with pytest.raises(ValueError, match="t_max must be >= 0"):
             ExperimentConfig(kind="lln", t_max=-1)
+        # The grid's model errors are ModelParams's own.
+        with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
+            ExperimentConfig(kind="final", n_values=(100, 2))
+        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got 1.5$"):
+            ExperimentConfig(kind="phase", p_values=(1.5,))
+        with pytest.raises(ValueError, match=r"^unknown model kind 'sir'$"):
+            ExperimentConfig(kind="final", model="sir")
         ExperimentConfig(kind="moments", replications=400)
         with pytest.raises(ValueError, match="fig1 does not read replications, got 1"):
             ExperimentConfig(kind="fig1", replications=1)

@@ -100,8 +100,11 @@ def test_experiment_exits_0_or_2(kind, model, p, n, reps, tmax):
     # The model the run computes: --model, else the kind's own, else nongeometric.
     run_model = {"geom": chain.GEOMETRIC, "nongeom": chain.NONGEOMETRIC}.get(model) or (
         known and harness._DISPATCH[kind][2]) or chain.NONGEOMETRIC
-    for flag in ("--p", "--n", "--tmax"):
-        field, parse = cli._EXPERIMENT_INPUTS[flag[2:]]
+    for flag, (field, parse) in {
+        "--p": ("p_values", cli._float_list),
+        "--n": ("n_values", cli._int_list),
+        "--tmax": ("t_max", int),
+    }.items():
         unread = known and (field not in harness._DISPATCH[kind][1]
                             or field == "p_values" and run_model == chain.NONGEOMETRIC)
         # An input the kind or its model does not read runs only at its default
