@@ -87,6 +87,8 @@ class ExperimentConfig:
             chain.ModelParams(n, self.model, p)
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         reads = _DISPATCH[self.kind][1]
         for f in fields(self):
             value = getattr(self, f.name)
@@ -277,8 +279,9 @@ def one_step_samples(
     """`draws` i.i.d. next states (I', A', D') of `chain.transition`, drawn as arrays.
 
     numpy's binomial draws nothing at m = 0 or q = 0, as `sample_binomial` does,
-    but one double at q = 1, where `sample_binomial` draws none; so these draws
-    do not repeat the scalar step's stream.
+    but one double at q = 1, where `sample_binomial` draws none, and
+    `sample_empbox_batch` takes one double per draw where `sample_empbox` takes
+    one integer per ball; so these draws do not repeat the scalar step's stream.
     """
     return chain.transition(
         state.unvisited, state.active, params, rng,

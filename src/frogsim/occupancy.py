@@ -2,22 +2,17 @@
 
 EmpBox(b, c) is the law of the number of empty boxes after b balls are
 thrown independently and uniformly into c boxes.  Its exact pmf, at any box
-count, comes from the occupancy recursion, one ball at a time; its mean and
-variance are closed forms that keep full precision at any b and c.
+count, comes from the occupancy recursion, one ball at a time, on the number
+of distinct boxes hit; its mean and variance are closed forms that keep full
+precision at any b and c.
 
-The sampler is exact: `sample_empbox` (one draw) and `sample_empbox_batch`
-(many) throw the balls with ``rng.integers`` and count each draw's distinct
-boxes.  The batch throws its balls in chunks of about _CHUNK_BALLS, cut only
-between draws, so a call's memory is O(draws) plus one chunk (a draw with more
-balls than a chunk is a chunk by itself), and calls on several threads hold
-one chunk each.  Each draw of a chunk owns a row of boxes padded to a multiple
-of 8, so a chunk of several draws with at most _MASK_BYTES_PER_BALL boxes per
-ball counts its rows by popcount over a uint64 occupancy mask; other chunks,
-and every single draw, sort their keys.  Keys are int32 whenever every key
-of a chunk fits (`_key_dtype`), int64 otherwise.  Consecutive calls draw the
-same integers as one call, and int32 the same as int64, so neither the
-chunking nor the row padding nor the key type nor the count method touches
-the random stream.
+Two exact samplers, one path each.  `sample_empbox`, one draw, throws the
+balls with ``rng.integers`` and counts the distinct boxes by sorting int32 keys
+(int64 above 2**31 boxes); the chains step with it.  `sample_empbox_batch`,
+many draws, inverts the law itself: one ``rng.random`` double per draw, in draw
+order, searched in the CDF of its ball count, with no balls thrown.  Both are
+exact up to float64 rounding: the pmf is within 2e-14 relative of the rational
+law, and the doubles lie on a 2**-53 grid, as with numpy's own binomial.
 """
 
 from __future__ import annotations
@@ -27,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CHUNK_BALLS = 2**16  # balls per rng.integers call of sample_empbox_batch
-_MASK_BYTES_PER_BALL = 14  # mask/sort crossover of _count_distinct
+_BLOCK_DRAWS = 4096  # draws per rng.random call of sample_empbox_batch
 
 
 @dataclass(frozen=True)
@@ -68,23 +62,44 @@ def miss_variance(i: int, n: int, hit: float, a: int) -> float:
     return i * q1 * (i * q1 * ratio_pow(1, y * y, a, math.expm1) - ratio_pow(1, y, a, math.expm1))
 
 
-def empbox_pmf(spec: OccupancySpec) -> np.ndarray:
-    """Exact pmf of EmpBox(b, c), indexed x = 0..c, at any box count.
+def _distinct_pmfs(balls: np.ndarray, boxes: int):
+    """For each of the ascending ball counts `balls`, the pmf of the number of
+    distinct boxes its balls hit, indexed 0..min(max balls, boxes), and a free
+    scratch vector of the same length.
 
-    From P_0 = delta_c, each ball takes P(x) to P(x) (c - x)/c + P(x + 1) (x + 1)/c:
-    it lands in an occupied box or fills one of the x + 1 empty ones (the classical
-    occupancy chain, Johnson & Kotz, Urn Models, 1977).  Every term is
-    non-negative, so nothing cancels; the cost is b steps of length c + 1.
+    From P_0 = delta_0, each ball takes P(d) to P(d) d/c + P(d - 1) (c - d + 1)/c:
+    it lands in one of the d boxes already hit or in one of the c - d + 1 others
+    (the classical occupancy chain, Johnson & Kotz, Urn Models, 1977).  Every
+    term is non-negative, so nothing cancels; the cost is max balls steps of
+    length min(max balls, c) + 1, whatever c is, in four vectors of that
+    length.  Each pmf yielded is the one vector that the next step updates in
+    place.
     """
+    c = boxes
+    width = min(int(balls[-1]), c) + 1
+    hit = np.arange(width) / c
+    fill = np.arange(c, c - width + 1, -1) / c
+    pmf = np.zeros(width)
+    pmf[0] = 1.0
+    scratch = np.empty(width)
+    filled = scratch[:-1]
+    thrown = 0
+    for b in balls:
+        for _ in range(thrown, b):
+            np.multiply(pmf[:-1], fill, out=filled)
+            pmf *= hit
+            pmf[1:] += filled
+        thrown = b
+        yield pmf, scratch
+
+
+def empbox_pmf(spec: OccupancySpec) -> np.ndarray:
+    """Exact pmf of EmpBox(b, c), indexed x = 0..c, at any box count: c - x is the
+    number of distinct boxes hit, whose pmf comes from the occupancy recursion."""
     b, c = spec.balls, spec.boxes
-    x = np.arange(c + 1)
-    stay, fill = (c - x) / c, x[1:] / c
     pmf = np.zeros(c + 1)
-    pmf[c] = 1.0
-    for _ in range(b):
-        filled = pmf[1:] * fill
-        pmf *= stay
-        pmf[:-1] += filled
+    hits = next(_distinct_pmfs(np.array([b]), c))[0]
+    pmf[c + 1 - hits.size:] = hits[::-1]
     return pmf
 
 
@@ -99,80 +114,71 @@ def empbox_variance(spec: OccupancySpec) -> float:
     return miss_variance(spec.boxes, spec.boxes, 1, spec.balls)
 
 
-def _key_dtype(draws: int, stride: int):
-    """int32 when every key draw * stride + box of `draws` draws fits, else int64."""
-    return np.int32 if draws * stride <= 2**31 else np.int64
-
-
-def _count_distinct(keys: np.ndarray, draws: int, stride: int):
-    """Distinct boxes hit by each draw, from keys draw * stride + box.
-
-    Several draws with at most _MASK_BYTES_PER_BALL boxes per ball scatter
-    into a (draws, stride) occupancy mask of one byte per box, whose rows of
-    stride // 8 uint64 words are counted by popcount in place.  14 is the
-    highest crossover that keeps a chunk within 20 B per ball (4 for the keys,
-    14 for the mask, and numpy's 64 kB index buffer); the popcount timed
-    faster than the sort up to 12 to 20 B of mask per ball.  Otherwise the
-    keys are sorted in place and the first key of each run counted; a single
-    draw always sorts, which timed faster than its mask at every ratio a chain
-    step reaches.  One draw gives an int, several an array.
-    """
-    if draws > 1 and draws * stride <= _MASK_BYTES_PER_BALL * keys.size:
-        mask = np.zeros((draws, stride // 8), dtype=np.uint64)
-        mask.view(bool).reshape(-1)[keys] = True
-        return np.bitwise_count(mask, out=mask).sum(axis=1, dtype=np.int64)
-    keys.sort()
-    if draws == 1:
-        return 1 + np.count_nonzero(keys[1:] != keys[:-1])
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    runs = keys[first]
-    runs //= stride
-    return np.bincount(runs, minlength=draws)
-
-
 def sample_empbox(spec: OccupancySpec, rng: np.random.Generator) -> int:
-    """One exact draw from EmpBox(b, c): b uniform boxes, distinct ones counted."""
+    """One exact draw from EmpBox(b, c): b uniform boxes, distinct ones counted by sort."""
     b, c = spec.balls, spec.boxes
     if b == 0:
         return c
-    return c - int(_count_distinct(rng.integers(0, c, size=b, dtype=_key_dtype(1, c)), 1, c))
+    keys = rng.integers(0, c, size=b, dtype=np.int32 if c <= 2**31 else np.int64)
+    keys.sort()
+    return c - 1 - int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _cdf_table(counts: np.ndarray, boxes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CDFs of the distinct boxes hit at the ascending ball counts `counts`,
+    each divided by its last entry, as (table, shift): the entries strictly
+    between 0 and 1 of row k, as complex numbers k + i CDF, and shift[k], the
+    position of row k in the table less its number of entries equal to 0."""
+    rows, shift = [], np.empty(counts.size, dtype=np.int64)
+    start = 0
+    for k, (pmf, cdf) in enumerate(_distinct_pmfs(counts, boxes)):
+        np.cumsum(pmf, out=cdf)
+        cdf /= cdf[-1]
+        lo, hi = np.searchsorted(cdf, 0.0, side="right"), np.searchsorted(cdf, 1.0)
+        rows.append(k + 1j * cdf[lo:hi])
+        shift[k] = start - lo
+        start += hi - lo
+    return np.concatenate(rows), shift
 
 
 def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent EmpBox(balls[j], boxes) draws sharing one box count.
+    """Independent EmpBox(balls[j], boxes) draws sharing one box count, by inverse CDF.
 
-    Throws the balls in chunks of about _CHUNK_BALLS, cut only between draws;
-    each chunk is one ``rng.integers`` call, whose integers are those of one
-    call over all balls, so the stream is the same as for one draw per row.
-    Draw j of a chunk has its boxes offset by j * stride, boxes rounded up to
-    a multiple of 8, before each draw's distinct keys are counted.  Memory per
-    call, so per thread, is O(draws) for the result plus at most about 19 B per
-    ball of one chunk (measured with tracemalloc: 19.1 B for a mask at the
-    crossover, 17.0 B for a sort), or of the largest draw when that is larger;
-    the result has the shape of `balls`.
+    Draw j takes one double u = ``rng.random()``, in draw order, and returns
+    boxes - D, D the number of entries at or below u in the CDF of the distinct
+    boxes hit by balls[j] balls.  Each CDF is divided by its last entry, so
+    D <= balls[j], D >= 1 for balls[j] >= 1, and zero balls give boxes.
+
+    The CDFs of the distinct ball counts are tabled once (`_cdf_table`).  Every
+    u is at or above the entries equal to 0 and below those equal to 1, so only
+    the rest are searched.  numpy orders complex numbers by real part, then
+    imaginary part, so one ``searchsorted`` of k + i u over the rows k + i CDF
+    finds each draw's D within its own row k.  The doubles are drawn in blocks
+    of _BLOCK_DRAWS, which give the doubles of one call, so the stream is one
+    double per draw.  Memory per call, so per thread, is the int64 result, one
+    block, the table, and the recursion's four vectors of
+    min(max balls, boxes) + 1 doubles; the result has the shape of `balls`.
     """
     balls = np.asarray(balls, dtype=np.int64)
     if boxes < 1:
         raise ValueError("boxes must be >= 1")
     flat = balls.ravel()
-    if flat.size and flat.min() < 0:
+    out = np.empty(flat.size, dtype=np.int64)
+    if not flat.size:
+        return out.reshape(balls.shape)
+    if flat.min() < 0:
         raise ValueError("balls must be >= 0")
-    out = np.full(flat.size, boxes, dtype=np.int64)
-    ends = np.cumsum(flat)
-    stride = -(-boxes // 8) * 8
-    start = 0
-    while start < flat.size:
-        thrown = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, thrown + _CHUNK_BALLS, side="right")))
-        total, draws = int(ends[stop - 1]) - thrown, stop - start
-        if total:
-            keys = rng.integers(0, boxes, size=total, dtype=_key_dtype(draws, stride))
-            if draws > 1:
-                keys += np.repeat(np.arange(draws, dtype=keys.dtype) * stride, flat[start:stop])
-            out[start:stop] -= _count_distinct(keys, draws, stride)
-        start = stop
+    present = np.zeros(int(flat.max()) + 1, dtype=bool)
+    present[flat] = True
+    table, shift = _cdf_table(np.flatnonzero(present), boxes)
+    row_of = np.cumsum(present)
+    row_of -= 1
+    for first in range(0, flat.size, _BLOCK_DRAWS):
+        block = flat[first:first + _BLOCK_DRAWS]
+        key = np.empty(block.size, dtype=np.complex128)
+        key.imag = rng.random(block.size)
+        key.real = row = row_of[block]
+        out[first:first + block.size] = boxes + shift[row] - np.searchsorted(table, key, side="right")
     return out.reshape(balls.shape)
 
 

@@ -358,8 +358,8 @@ class TestOneStepLawEquivalence:
     def test_unvisited_law_at_audit_cells(self, kind, cell):
         # I' at two N = 1000 cells of the moment audit (seed 2718, p = 0.5), drawn
         # as the audit draws them, against sum_z Bin(A, hit I/N)(z) EmpBox(z, I):
-        # Z is a thinned binomial in both models.  Cell 35, (707, 28, 266), counts
-        # its rows by sort; cell 38, (715, 281, 5), by popcount mask.
+        # Z is a thinned binomial in both models.  Cell 35 is (707, 28, 266), about
+        # 10 balls per draw; cell 38 is (715, 281, 5), about 200.
         draws = 20000
         cfg = ExperimentConfig(kind="moments", model=kind, p_values=(0.5,), replications=draws, seed=2718)
         state, params = moment_panel(cfg, replication_rng(2718, 999))[cell]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frogsim import harness, occupancy
+from frogsim import harness
 from frogsim.chain import ChainState, ModelParams, replication_rng, simulate_trajectory
 from frogsim.dynamics import det_orbit
 from frogsim.harness import (
@@ -53,6 +53,9 @@ class TestConfig:
             ExperimentConfig(kind="phase", n_values=(20, 30))
         with pytest.raises(ValueError, match="t_max must be >= 0"):
             ExperimentConfig(kind="lln", t_max=-1)
+        for kind in ("fig1", "final"):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+                ExperimentConfig(kind=kind, seed=-5)
         # The grid's model errors are ModelParams's own.
         with pytest.raises(ValueError, match=r"^n must be >= 3, got 2$"):
             ExperimentConfig(kind="final", n_values=(100, 2))
@@ -242,7 +245,8 @@ class TestMomentAudit:
         # A worker reduces its cell's samples to z rows before it takes the
         # next cell, so the peak grows with workers x one cell, never with the
         # 54-cell panel.  One cell: its samples, binomials and temporaries in
-        # 64 B per draw, and one chunk of balls in 20 B per ball.
+        # 64 B per draw, and a fixed 20 B x 2**16 for the EmpBox CDF table and
+        # one block of doubles.
         workers, draws = 3, 20_000
         monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
         cfg = ExperimentConfig(kind="moments", model="geometric", replications=draws, seed=2718)
@@ -252,7 +256,7 @@ class TestMomentAudit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < workers * (64 * draws + 20 * occupancy._CHUNK_BALLS)
+        assert peak < workers * (64 * draws + 20 * 2**16)
 
     def test_one_step_samples_conservation(self):
         params = ModelParams(n=10, kind="geometric", p=0.6)

@@ -236,23 +236,21 @@ class TestEmpboxSampler:
 
 class TestEmpboxLawAtWidth:
     """Draws at the row widths the chains use, against the exact pmf: the
-    single-draw sort, and batches counted by popcount mask or by sort, on rows
-    of 2 to 126 uint64 words."""
+    single-draw sort, and two shapes of batch, the law's draws alone (mask) and
+    each followed by 15 zero-ball draws (sort), which the batch must group
+    apart from them."""
 
     @pytest.mark.parametrize("path", ["single", "mask", "sort"])
     @pytest.mark.parametrize("boxes", [9, 17, 64, 100, 715, 1001])
     def test_chi_square_against_pmf(self, boxes, path):
         balls, draws = boxes // 2 + 1, 20000
-        stride = -(-boxes // 8) * 8
         rng = np.random.default_rng([boxes, len(path)])
         if path == "single":
             out = np.array([sample_empbox(OccupancySpec(balls, boxes), rng) for _ in range(draws)])
         else:
-            # Each draw of the law alone, at under 4 B of mask per ball (mask), or
-            # followed by 15 zero-ball draws, at over 30 (sort).  Zero-ball draws
-            # draw no integers, so both batches count the same stream.
+            # Each draw of the law alone (mask), or followed by 15 zero-ball
+            # draws (sort), whose doubles the law's draws must not take.
             zeros = 0 if path == "mask" else 15
-            assert (stride * (zeros + 1) <= occupancy._MASK_BYTES_PER_BALL * balls) == (path == "mask")
             rows = np.zeros((draws, zeros + 1), dtype=np.int64)
             rows[:, 0] = balls
             out = sample_empbox_batch(rows, boxes, rng)[:, 0]
@@ -268,59 +266,59 @@ def _unique_reference(balls, boxes, seed):
     return np.array([boxes - np.unique(x).size for x in parts]).reshape(np.shape(balls))
 
 
+def _exact_inverse_cdf(b: int, c: int, u: float) -> int:
+    """Oracle: c - D, D the number of entries at or below u of the CDF of the
+    distinct boxes hit by b balls in c boxes, from the rational law
+    P(D = d) = S(b, d) c (c - 1) ... (c - d + 1) / c^b, S the Stirling numbers
+    of the second kind."""
+    stirling = [1] + [0] * b  # S(0, d)
+    for _ in range(b):
+        stirling = [0] + [d * stirling[d] + stirling[d - 1] for d in range(1, b + 1)]
+    cdf, falling, below = Fraction(0), 1, 0
+    for d in range(min(b, c) + 1):
+        falling *= c - d + 1 if d else 1
+        cdf += Fraction(stirling[d] * falling, c**b)
+        if cdf > Fraction(u):
+            break
+        below += 1
+    return c - below
+
+
 class TestEmpboxCount:
-    """The mask and sort counts both equal np.unique on the same stream."""
+    """The single draw's sort count equals np.unique on the same stream; the
+    batch equals the inverse CDF of the exact rational law on its doubles."""
 
     @pytest.mark.parametrize(
-        "balls,boxes,mask",
+        "balls,boxes",
         [
-            (np.full(50, 40), 100, True),
-            (np.arange(300) % 5, 1000, False),
-            ([7], 20, True),
-            ([7], 10**4, False),
-            ([[3, 0], [5, 9]], 4, True),
-            ([[3, 0], [5, 9]], 10**3, False),
-            ([5, 0, 4], 2**31, False),
-            ([0, 6, 0, 2], 3, True),
-            (np.zeros(5, dtype=int), 3, True),
+            (np.full(50, 40), 100),
+            (np.arange(300) % 5, 1000),
+            ([7], 20),
+            ([7], 10**4),
+            ([[3, 0], [5, 9]], 4),
+            ([[3, 0], [5, 9]], 10**3),
+            ([5, 0, 4], 2**31),
+            ([0, 6, 0, 2], 3),
+            (np.zeros(5, dtype=int), 3),
         ],
     )
-    def test_batch_matches_unique(self, balls, boxes, mask):
-        total = int(np.sum(balls))
-        stride = -(-boxes // 8) * 8
-        assert (np.size(balls) * stride <= occupancy._MASK_BYTES_PER_BALL * total) == mask or total == 0
+    def test_batch_matches_exact_inverse_cdf(self, balls, boxes):
         out = sample_empbox_batch(balls, boxes, np.random.default_rng(11))
         assert out.shape == np.shape(balls)
-        assert (out == _unique_reference(balls, boxes, 11)).all()
-
-    @pytest.mark.parametrize("side", ["mask", "sort"])
-    @pytest.mark.parametrize("boxes", [1, 3, 7, 9, 715, 1001])
-    def test_padded_rows_either_side_of_crossover(self, monkeypatch, boxes, side):
-        # 40 draws, many of them empty, with just enough balls for the padded
-        # mask, or one ball too few; cut into chunks, they must still match.
-        draws, stride = 40, -(-boxes // 8) * 8
-        total = -(-draws * stride // occupancy._MASK_BYTES_PER_BALL) - (side == "sort")
-        hits = np.random.default_rng([boxes, total]).integers(0, draws, size=total)
-        hits[hits % 5 == 0] += 1  # draws 0, 5, ..., 35 throw no ball
-        balls = np.bincount(hits, minlength=draws)
-        assert (draws * stride <= occupancy._MASK_BYTES_PER_BALL * total) == (side == "mask")
-        rng_whole, rng_chunked = np.random.default_rng(22), np.random.default_rng(22)
-        whole = sample_empbox_batch(balls, boxes, rng_whole)
-        assert (whole == _unique_reference(balls, boxes, 22)).all()
-        monkeypatch.setattr(occupancy, "_CHUNK_BALLS", total // 3)
-        assert (sample_empbox_batch(balls, boxes, rng_chunked) == whole).all()
-        assert rng_chunked.bit_generator.state == rng_whole.bit_generator.state
+        doubles = np.random.default_rng(11).random(np.size(balls))
+        expected = [_exact_inverse_cdf(b, boxes, u) for b, u in zip(np.ravel(balls).tolist(), doubles)]
+        assert out.ravel().tolist() == expected
 
     def test_batch_stream_golden(self):
-        # Frozen outputs of one mask-counted and one sorted batch at a fixed
-        # seed; any change to the integers drawn or their order shows here.
+        # Frozen outputs of a narrow and a wide batch at a fixed seed; any change
+        # to the doubles drawn, their order or the law's CDF shows here.
         rng = np.random.default_rng(2024)
-        mask_balls = [9, 0, 14, 7, 11, 20, 5, 16, 12, 3, 8, 18]
-        sort_balls = [50, 0, 61, 38, 55, 47, 12, 59, 44, 30, 52, 40]
-        assert sample_empbox_batch(mask_balls, 13, rng).tolist() == [6, 13, 4, 7, 4, 4, 8, 4, 5, 10, 6, 3]
-        assert sample_empbox_batch(sort_balls, 1001, rng).tolist() == [
-            951, 1001, 940, 964, 951, 956, 989, 942, 959, 972, 950, 961]
-        assert int(rng.integers(2**62)) == 1060783042283745951
+        narrow_balls = [9, 0, 14, 7, 11, 20, 5, 16, 12, 3, 8, 18]
+        wide_balls = [50, 0, 61, 38, 55, 47, 12, 59, 44, 30, 52, 40]
+        assert sample_empbox_batch(narrow_balls, 13, rng).tolist() == [6, 13, 5, 7, 3, 4, 10, 5, 5, 11, 7, 3]
+        assert sample_empbox_batch(wide_balls, 1001, rng).tolist() == [
+            954, 1001, 946, 964, 946, 954, 989, 944, 959, 971, 951, 961]
+        assert int(rng.integers(2**62)) == 983014751046431945
 
     @pytest.mark.parametrize("b,c", [(7, 20), (7, 10**4), (1, 1), (40, 3), (0, 5)])
     def test_scalar_matches_unique(self, b, c):
@@ -350,39 +348,74 @@ class TestEmpboxCount:
         assert peak < 18 * draws * balls
 
 
+class _FixedDoubles:
+    """A generator stub whose every double is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+class TestEmpboxInverseCdfEdges:
+    """The extreme doubles 0 and 1 - 2**-53 stay within the support."""
+
+    @pytest.mark.parametrize(
+        "balls,boxes",
+        [(z, c) for c in (1, 2, 1001) for z in (1, c, 3 * c)] + [(1, 2**32), (1000, 2**32)],
+    )
+    def test_extreme_doubles(self, balls, boxes):
+        lo, hi = max(boxes - balls, 0), boxes - 1
+        at_zero, at_top = (sample_empbox_batch([balls], boxes, _FixedDoubles(u))[0]
+                           for u in (0.0, np.nextafter(1.0, 0.0)))
+        assert lo <= at_top <= at_zero <= hi
+        if boxes <= 1001:
+            # 0 takes the atom with the fewest boxes hit: the most empty boxes.
+            pmf = empbox_pmf(OccupancySpec(balls, boxes))
+            assert at_zero == np.flatnonzero(pmf)[-1]
+        elif balls == 1:
+            assert at_zero == at_top == hi
+
+    def test_double_at_a_cdf_entry_counts_it(self):
+        # 2 balls in 2 boxes hit D = 1 or 2 boxes with probability 1/2 each, so the
+        # CDF is (0, 1/2, 1): u = 1/2 is at or above two entries, D = 2, no box empty.
+        assert sample_empbox_batch([2], 2, _FixedDoubles(0.5)).tolist() == [0]
+        assert sample_empbox_batch([2], 2, _FixedDoubles(np.nextafter(0.5, 0.0))).tolist() == [1]
+
+
 class TestEmpboxChunks:
-    """Chunked throwing draws the same integers as one call over all balls."""
+    """The batch's memory grows with its draws, not with its balls."""
 
     @pytest.mark.parametrize(
         "balls,boxes",
         [
-            ([2, 3, 1, 4, 2, 6, 1], 7),  # odd cut points: chunks of 5, 5, 2, 6 and 1 balls
-            ([1, 23, 2], 50),  # a single draw larger than a chunk is a chunk by itself
-            ([0, 5, 0, 0, 5, 0, 3, 0], 6),  # zero-ball draws at the chunk edges
+            ([2, 3, 1, 4, 2, 6, 1], 7),  # an odd number of draws: blocks of 2, 2, 2 and 1
+            ([1, 23, 2], 50),  # one draw with many more balls than the others
+            ([0, 5, 0, 0, 5, 0, 3, 0], 6),  # zero-ball draws at the block edges
             ([[0, 4, 3], [9, 0, 2]], 10**3),  # 2-D balls
-            ([3] * 30, 2**27),  # int32 keys in one-draw chunks; unchunked, int64
-            ([1, 2, 0, 2, 4], 2**30 + 3),  # int64 keys in a chunk of four draws, int32 in one
+            ([3] * 30, 2**27),  # one ball count in 15 blocks
+            ([1, 2, 0, 2, 4], 2**30 + 3),  # over 2**30 boxes
         ],
     )
-    def test_tiny_chunks_match_unchunked_and_unique(self, monkeypatch, balls, boxes):
-        rng_whole, rng_chunked = np.random.default_rng(21), np.random.default_rng(21)
-        whole = sample_empbox_batch(balls, boxes, rng_whole)
-        monkeypatch.setattr(occupancy, "_CHUNK_BALLS", 5)
-        chunked = sample_empbox_batch(balls, boxes, rng_chunked)
-        assert chunked.shape == np.shape(balls)
-        assert (chunked == whole).all()
-        assert (chunked == _unique_reference(balls, boxes, 21)).all()
+    def test_tiny_blocks_match_one_block(self, monkeypatch, balls, boxes):
+        rng_one, rng_tiny = np.random.default_rng(21), np.random.default_rng(21)
+        one = sample_empbox_batch(balls, boxes, rng_one)
+        monkeypatch.setattr(occupancy, "_BLOCK_DRAWS", 2)
+        tiny = sample_empbox_batch(balls, boxes, rng_tiny)
+        assert tiny.shape == np.shape(balls)
+        assert (tiny == one).all()
         # Both consumed the same stream, so the next draws agree too.
-        assert rng_whole.integers(2**62) == rng_chunked.integers(2**62)
+        assert rng_one.integers(2**62) == rng_tiny.integers(2**62)
 
     @pytest.mark.parametrize("boxes", [100, 10**4], ids=["mask", "sort"])
     def test_peak_memory_bounded_in_balls(self, boxes):
-        # From 4 to 16 chunks of balls, the peak grows by the O(draws) arrays
-        # alone, not by the balls: the keys live one chunk at a time.
+        # From 4 to 16 times 2**16 balls, the peak grows by the O(draws) arrays
+        # alone, not by the balls.
         per_draw = 64
         peaks, draws = [], []
         for chunks in (4, 16):
-            counts = np.full(chunks * occupancy._CHUNK_BALLS // per_draw, per_draw)
+            counts = np.full(chunks * 2**16 // per_draw, per_draw)
             rng = np.random.default_rng(14)
             tracemalloc.start()
             try:
@@ -392,15 +425,14 @@ class TestEmpboxChunks:
                 tracemalloc.stop()
             draws.append(counts.size)
         assert peaks[1] - peaks[0] <= 24 * (draws[1] - draws[0])
-        assert peaks[1] < 24 * draws[1] + 20 * occupancy._CHUNK_BALLS
+        assert peaks[1] < 24 * draws[1] + 20 * 2**16
 
     @pytest.mark.parametrize("draws", [2, 2048])
     def test_peak_memory_mask_at_crossover(self, draws):
-        # One chunk of balls with the most mask per ball that is still counted
-        # by mask keeps the per-chunk bound of test_peak_memory_bounded_in_balls.
-        per_draw = occupancy._CHUNK_BALLS // draws
-        stride = occupancy._MASK_BYTES_PER_BALL * per_draw
-        assert stride % 8 == 0
+        # 2**16 balls, in 2 draws of 32768 or 2048 of 32, into about 14 boxes
+        # per ball of a draw, keep the bound of test_peak_memory_bounded_in_balls.
+        per_draw = 2**16 // draws
+        stride = 14 * per_draw
         counts = np.full(draws, per_draw)
         rng = np.random.default_rng(15)
         tracemalloc.start()
@@ -409,7 +441,24 @@ class TestEmpboxChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * draws + 20 * occupancy._CHUNK_BALLS
+        assert peak < 24 * draws + 20 * 2**16
+
+    @pytest.mark.parametrize("boxes", [100, 10**4])
+    def test_peak_memory_same_at_64_and_4096_balls(self, boxes):
+        # Only the law's recursion, four vectors of min(balls, boxes) + 1
+        # doubles, and the row index of each ball count, max balls + 1 words,
+        # grow with the balls; up to 10**4 boxes, 4096 draws of 4096 balls
+        # peak within 64 kB of 4096 draws of 64.
+        peaks = []
+        for per_draw in (64, 4096):
+            rng = np.random.default_rng(16)
+            tracemalloc.start()
+            try:
+                sample_empbox_batch(np.full(4096, per_draw), boxes, rng)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
 
 class TestBinomialSampler:

@@ -36,14 +36,20 @@ def test_chain_invariants(kind, n, p, seed):
 
 
 @SETTINGS
-@given(balls=st.integers(0, 5000), boxes=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
-def test_batch_of_one_equals_scalar_empbox(balls, boxes, seed):
-    rng_scalar, rng_batch = np.random.default_rng(seed), np.random.default_rng(seed)
-    scalar = sample_empbox(OccupancySpec(balls, boxes), rng_scalar)
-    batch = sample_empbox_batch(np.array([balls]), boxes, rng_batch)
-    assert batch.tolist() == [scalar]
-    # Both consumed the same stream, so the next draws agree too.
-    assert rng_scalar.integers(2**62) == rng_batch.integers(2**62)
+@given(
+    balls=st.lists(st.integers(0, 300), max_size=40),
+    boxes=st.integers(1, 2**32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_uses_one_double_per_draw(balls, boxes, seed):
+    # A batch takes exactly one double per draw, whatever its ball counts, and
+    # each draw stays within max(c - b, 0) <= X <= c - 1, or X = c for no balls.
+    rng, rng_doubles = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = sample_empbox_batch(np.array(balls, dtype=np.int64), boxes, rng)
+    rng_doubles.random(len(balls))
+    assert rng.bit_generator.state == rng_doubles.bit_generator.state
+    for b, x in zip(balls, batch.tolist()):
+        assert x == boxes if b == 0 else max(boxes - b, 0) <= x <= boxes - 1
 
 
 @SETTINGS
