@@ -289,25 +289,33 @@ class TestEmpboxCount:
     batch equals the inverse CDF of the exact rational law on its doubles."""
 
     @pytest.mark.parametrize(
-        "balls,boxes",
+        "balls,boxes,via_pmf",
         [
-            (np.full(50, 40), 100),
-            (np.arange(300) % 5, 1000),
-            ([7], 20),
-            ([7], 10**4),
-            ([[3, 0], [5, 9]], 4),
-            ([[3, 0], [5, 9]], 10**3),
-            ([5, 0, 4], 2**31),
-            ([0, 6, 0, 2], 3),
-            (np.zeros(5, dtype=int), 3),
+            (np.full(50, 40), 100, True),
+            (np.arange(300) % 5, 1000, False),
+            ([7], 20, True),
+            ([7], 10**4, False),
+            ([[3, 0], [5, 9]], 4, True),
+            ([[3, 0], [5, 9]], 10**3, False),
+            ([5, 0, 4], 2**31, False),
+            ([0, 6, 0, 2], 3, True),
+            (np.zeros(5, dtype=int), 3, True),
         ],
     )
-    def test_batch_matches_exact_inverse_cdf(self, balls, boxes):
+    def test_batch_matches_unique(self, balls, boxes, via_pmf):
+        # The batch's draws, one per double u, equal the inverse CDF of the exact
+        # rational law at u; where the boxes are few (via_pmf), they also equal
+        # the inverse CDF of empbox_pmf, whose vector has boxes + 1 entries.
         out = sample_empbox_batch(balls, boxes, np.random.default_rng(11))
         assert out.shape == np.shape(balls)
         doubles = np.random.default_rng(11).random(np.size(balls))
-        expected = [_exact_inverse_cdf(b, boxes, u) for b, u in zip(np.ravel(balls).tolist(), doubles)]
+        flat = np.ravel(balls).tolist()
+        expected = [_exact_inverse_cdf(b, boxes, u) for b, u in zip(flat, doubles)]
         assert out.ravel().tolist() == expected
+        if via_pmf:
+            for b, u, x in zip(flat, doubles, expected):
+                cdf = np.cumsum(empbox_pmf(OccupancySpec(b, boxes))[::-1])
+                assert x == boxes - np.searchsorted(cdf / cdf[-1], u, side="right")
 
     def test_batch_stream_golden(self):
         # Frozen outputs of a narrow and a wide batch at a fixed seed; any change
@@ -398,13 +406,18 @@ class TestEmpboxChunks:
             ([1, 2, 0, 2, 4], 2**30 + 3),  # over 2**30 boxes
         ],
     )
-    def test_tiny_blocks_match_one_block(self, monkeypatch, balls, boxes):
+    def test_tiny_chunks_match_unchunked_and_unique(self, monkeypatch, balls, boxes):
+        # Chunks of 2 draws, each with its own rng.random call, give the output
+        # of one chunk, and both equal the exact law's inverse CDF.
         rng_one, rng_tiny = np.random.default_rng(21), np.random.default_rng(21)
         one = sample_empbox_batch(balls, boxes, rng_one)
         monkeypatch.setattr(occupancy, "_BLOCK_DRAWS", 2)
         tiny = sample_empbox_batch(balls, boxes, rng_tiny)
         assert tiny.shape == np.shape(balls)
         assert (tiny == one).all()
+        doubles = np.random.default_rng(21).random(np.size(balls))
+        expected = [_exact_inverse_cdf(b, boxes, u) for b, u in zip(np.ravel(balls).tolist(), doubles)]
+        assert tiny.ravel().tolist() == expected
         # Both consumed the same stream, so the next draws agree too.
         assert rng_one.integers(2**62) == rng_tiny.integers(2**62)
 
