@@ -44,7 +44,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from . import __version__, chain, dynamics
-from .occupancy import sample_empbox_batch
+from .occupancy import sample_binomial_batch, sample_empbox_batch
 
 VERSION = f"frogsim-{__version__}"
 
@@ -278,14 +278,22 @@ def one_step_samples(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`draws` i.i.d. next states (I', A', D') of `chain.transition`, drawn as arrays.
 
-    numpy's binomial draws nothing at m = 0 or q = 0, as `sample_binomial` does,
-    but one double at q = 1, where `sample_binomial` draws none, and
-    `sample_empbox_batch` takes one double per draw where `sample_empbox` takes
-    one integer per ball; so these draws do not repeat the scalar step's stream.
+    A binomial of one n (the geometric X, the nongeometric Z) comes from
+    `sample_binomial_batch`, one double per draw and none when degenerate; the
+    geometric Z | X, whose n is the array X, from numpy's array binomial,
+    which draws nothing at n = 0 or q = 0 but one double at q = 1.
+    `sample_empbox_batch` takes one double per draw where `sample_empbox`
+    takes one integer per ball; so these draws do not repeat the scalar
+    step's stream.
     """
+
+    def binomial(m, q, rng):
+        if np.ndim(m):
+            return rng.binomial(m, q, size=draws)
+        return sample_binomial_batch(m, q, draws, rng)
+
     return chain.transition(
-        state.unvisited, state.active, params, rng,
-        lambda m, q, rng: rng.binomial(m, q, size=draws), sample_empbox_batch,
+        state.unvisited, state.active, params, rng, binomial, sample_empbox_batch
     )[:3]
 
 
@@ -296,19 +304,31 @@ def _z(estimate: float, se: float, theory: float, tol: float) -> float:
     return float((estimate - theory) / se)
 
 
-def _batched_variance(x: np.ndarray) -> tuple[float, float]:
-    """Variance estimate and its standard error via batching.
+def _moment_estimates(x: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(mean, its standard error) and (batched variance, its standard error) of
+    the integer draws `x`, from exact int64 power sums.
 
-    Per-batch sample variances are unbiased for the true variance and
-    their batch-mean is CLT-normal for any underlying law, unlike the
-    fourth-moment plug-in SE, which degenerates for symmetric two-point
-    distributions.
+    A sample variance is (n sum x^2 - (sum x)^2) / (n (n - 1)), an exact
+    integer over an integer, so it takes one rounding and a constant sample
+    gives 0 exactly.  The batched variance is the mean of the sample variances
+    of _VAR_BATCHES batches (at least 2 draws each), and its standard error
+    their spread: per-batch sample variances are unbiased for the true
+    variance and their batch-mean is CLT-normal for any underlying law,
+    unlike the fourth-moment plug-in SE, which degenerates for symmetric
+    two-point distributions.  The mean's standard error comes from the
+    variance of all the draws.  A batch's numerator stays exact while
+    (batch size * max x)^2 < 2**53.
     """
-    b = min(_VAR_BATCHES, x.size)
-    size = x.size // b
+    n = x.size
+    b = min(_VAR_BATCHES, n)
+    size = n // b
     batches = x[: b * size].reshape(b, size)
-    per_batch = batches.var(ddof=1, axis=1)
-    return float(per_batch.mean()), float(per_batch.std(ddof=1) / np.sqrt(b))
+    s1, s2 = batches.sum(axis=1), np.einsum("ij,ij->i", batches, batches)
+    tail = x[b * size:]
+    t1, t2 = int(s1.sum()) + int(tail.sum()), int(s2.sum()) + int(tail @ tail)
+    var = (n * t2 - t1 * t1) / (n * (n - 1))
+    per_batch = (size * s2 - s1 * s1) / (size * (size - 1))
+    return (t1 / n, np.sqrt(var / n)), (per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(b))
 
 
 def moment_panel(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[chain.ChainState, chain.ModelParams]]:
@@ -349,11 +369,9 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
         head = [params.kind, params.n, params.p, state.unvisited, state.active, state.dead]
         rows = []
         for comp, x, (e_th, v_th) in zip(("unvisited", "active", "dead"), samples, analytic):
-            x = x.astype(float)
             tol = 1e-9 * max(1.0, abs(e_th))
-            z_mean = _z(x.mean(), x.std(ddof=1) / np.sqrt(x.size), e_th, tol)
-            z_var = _z(*_batched_variance(x), v_th, tol)
-            rows.append(head + [comp, z_mean, z_var])
+            (mean, se_mean), (var, se_var) = _moment_estimates(x)
+            rows.append(head + [comp, _z(mean, se_mean, e_th, tol), _z(var, se_var, v_th, tol)])
         return rows
 
     per_cell = _map_in_order(cell_rows, range(len(panel)), True)

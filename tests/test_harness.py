@@ -16,6 +16,7 @@ from frogsim.harness import (
     final_fraction_experiment,
     lln_experiment,
     moment_audit,
+    moment_panel,
     one_step_samples,
     peak_experiment,
     phase_sweep,
@@ -257,6 +258,35 @@ class TestMomentAudit:
         finally:
             tracemalloc.stop()
         assert peak < workers * (64 * draws + 20 * 2**16)
+
+    @pytest.mark.parametrize("model,cell", [("geometric", 35), ("nongeometric", 38)])
+    def test_integer_sums_match_two_pass(self, model, cell):
+        # The audit's statistics from exact int64 power sums, at two N = 1000
+        # cells, against float64 two-pass ones; 20011 draws leave 11 after the
+        # last whole batch, which count in the mean and its standard error alone.
+        cfg = ExperimentConfig(kind="moments", model=model, p_values=(0.5,), replications=20_011, seed=2718)
+        state, params = moment_panel(cfg, replication_rng(2718, 999))[cell]
+        assert params.n == 1000
+        batches = harness._VAR_BATCHES
+        for x in one_step_samples(state, params, cfg.replications, replication_rng(2718, cell, 0)):
+            y = x.astype(float)
+            size = y.size // batches
+            per_batch = y[: size * batches].reshape(batches, size).var(ddof=1, axis=1)
+            reference = (y.mean(), y.std(ddof=1) / np.sqrt(y.size),
+                         per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(batches))
+            (mean, se_mean), (var, se_var) = harness._moment_estimates(x)
+            assert np.allclose((mean, se_mean, var, se_var), reference, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("state", [ChainState(500, 300, 201), ChainState(500, 0, 501)])
+    def test_nongeometric_samples_take_one_double_per_draw_each(self, state):
+        # Z ~ Bin(A, I/N) from sample_binomial_batch, one double per draw and
+        # none at A = 0, then EmpBox(Z, I), one double per draw.  At A I/N = 150,
+        # numpy's own binomial would take at least two doubles per draw.
+        params = ModelParams(n=1000, kind="nongeometric")
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        one_step_samples(state, params, 500, rng)
+        ref.random(500 * (1 + (state.active > 0)))
+        assert rng.integers(2**62) == ref.integers(2**62)
 
     def test_one_step_samples_conservation(self):
         params = ModelParams(n=10, kind="geometric", p=0.6)

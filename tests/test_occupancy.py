@@ -11,10 +11,12 @@ import scipy.stats
 import frogsim.occupancy as occupancy
 from frogsim.occupancy import (
     OccupancySpec,
+    binomial_pmf,
     empbox_mean,
     empbox_pmf,
     empbox_variance,
     sample_binomial,
+    sample_binomial_batch,
     sample_empbox,
     sample_empbox_batch,
 )
@@ -493,6 +495,104 @@ class TestBinomialSampler:
         draws = np.array([sample_binomial(10, 0.3, rng) for _ in range(r)])
         band = 4 * math.sqrt(10 * 0.3 * 0.7 / r)
         assert abs(draws.mean() - 3.0) <= band
+
+
+def mp_binomial_pmf(n: int, q: float) -> np.ndarray:
+    """Oracle: C(n, k) q^k (1 - q)^(n - k), q taken exactly, in 40-digit
+    arithmetic, each term rounded once to a double."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        return np.array([float(mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)) for k in range(n + 1)])
+
+
+class _GivenDoubles:
+    """A generator stub that hands out the doubles `values` in order."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def random(self, size):
+        self.used += size
+        return self.values[self.used - size:self.used]
+
+
+def _float_cdf(n, q):
+    cdf = np.cumsum(binomial_pmf(n, q))
+    return cdf / cdf[-1]
+
+
+class TestBinomialBatch:
+    @pytest.mark.parametrize(
+        "n,q",
+        [(n, q) for n in (1, 7, 60, 300, 999, 1000) for q in (0.5, 0.1, 1 / 3, 0.97, 1e-3)],
+    )
+    def test_pmf_against_rational_law(self, n, q):
+        # Entries below 1e-290 lose bits as the products of ratios underflow.
+        exact = mp_binomial_pmf(n, q)
+        pmf = binomial_pmf(n, q)
+        keep = exact > 1e-290
+        assert np.all(np.abs(pmf[keep] - exact[keep]) <= 1e-13 * exact[keep])
+        assert np.all(pmf[~keep] < 1e-280)
+
+    def test_pmf_degenerate(self):
+        assert binomial_pmf(0, 0.4).tolist() == [1.0]
+        assert binomial_pmf(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert binomial_pmf(3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "n,q", [(1, 0.5), (7, 0.3), (60, 0.5), (300, 0.1), (300, 0.9), (1000, 0.03), (1000, 0.5)]
+    )
+    def test_chi_square_against_law(self, n, q):
+        # n q = 30 at (60, 1/2), (300, 0.1) and (1000, 0.03): where numpy's own
+        # binomial switches from inversion to its rejection sampler.
+        draws = 200_000
+        rng = np.random.default_rng([31, n, int(q * 1000)])
+        x = sample_binomial_batch(n, q, draws, rng)
+        assert x.dtype == np.int64 and x.shape == (draws,)
+        exact = mp_binomial_pmf(n, q)
+        assert _chi_square_pvalue(np.bincount(x, minlength=n + 1), exact) > 0.001
+
+    @pytest.mark.parametrize("n,q,draws", [(5, 0.5, 1), (60, 0.5, 20_011), (1000, 0.03, 3), (40, 0.999, 100)])
+    def test_one_double_per_draw_is_its_inverse_cdf(self, monkeypatch, n, q, draws):
+        # Each draw is the count of CDF entries at or below its own double, and
+        # the generator moves as far as random(draws), for any block size.
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        x = sample_binomial_batch(n, q, draws, rng)
+        u = ref.random(draws)
+        assert x.tolist() == _float_cdf(n, q).searchsorted(u, side="right").tolist()
+        assert rng.integers(2**62) == ref.integers(2**62)
+        monkeypatch.setattr(occupancy, "_BLOCK_DRAWS", 7)
+        assert (sample_binomial_batch(n, q, draws, np.random.default_rng(8)) == x).all()
+
+    @pytest.mark.parametrize("n,q", [(0, 0.5), (9, 0.0), (9, 1.0)])
+    def test_degenerate_draws_nothing(self, n, q):
+        rng = np.random.default_rng(3)
+        assert sample_binomial_batch(n, q, 50, rng).tolist() == [n if q == 1.0 else 0] * 50
+        assert rng.integers(2**62) == np.random.default_rng(3).integers(2**62)
+
+    @pytest.mark.parametrize("n,q", [(1, 0.5), (6, 0.5), (100, 0.3), (1000, 0.001), (1000, 0.999)])
+    def test_bucket_edges_and_extreme_doubles(self, n, q):
+        # Every bucket edge g / G and its two neighbours, and the extreme
+        # doubles: 0 gives the least atom with positive mass, 1 - 2**-53 the
+        # atom at which the float CDF reaches 1.
+        buckets = 1 << max(6, (2 * n + 1).bit_length())
+        edges = np.arange(buckets) / buckets
+        doubles = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+                                  [np.nextafter(1.0, 0.0)]])
+        cdf = _float_cdf(n, q)
+        x = sample_binomial_batch(n, q, doubles.size, _GivenDoubles(doubles))
+        assert x.tolist() == cdf.searchsorted(doubles, side="right").tolist()
+        pmf = binomial_pmf(n, q)
+        assert x[0] == np.flatnonzero(pmf)[0]
+        assert x[-1] == np.flatnonzero(cdf == 1.0)[0] and pmf[x[-1]] > 0
+
+    def test_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            sample_binomial_batch(-1, 0.5, 4, rng)
+        with pytest.raises(ValueError):
+            sample_binomial_batch(3, 1.5, 4, rng)
+        assert sample_binomial_batch(3, 0.5, 0, rng).shape == (0,)
 
 
 class TestBinomialPgfIdentities:
