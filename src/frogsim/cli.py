@@ -9,9 +9,7 @@ experiment --config reads its key=value lines as the flags --key=value; flags ov
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -52,11 +50,7 @@ def _table_text(columns: list[str], rows: list[tuple], fmt: str) -> str:
     """Rows under a header line (csv, reals to 17 digits) or as {"rows": [...]} (json)."""
     if fmt == "json":
         return json.dumps({"rows": [dict(zip(columns, r)) for r in rows]}, indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    w.writerows([format_value(v) for v in r] for r in rows)
-    return buf.getvalue()
+    return harness.csv_text(columns, rows)
 
 
 def _model_params(args) -> chain.ModelParams:

@@ -158,8 +158,8 @@ def lambert_w0(x: float) -> float:
 
 
 def _least_root(f: float, s: float) -> float:
-    """Least root in [0, 1] of x = s exp(-f (1 - x)), for f > 0 and 0 < s <= 1."""
-    return -lambert_w0(-f * s * math.exp(-f)) / f
+    """Least root in [0, 1] of x = s exp(-f (1 - x)) (f > 0, 0 < s <= 1); +0.0 on underflow."""
+    return 0.0 - lambert_w0(-f * s * math.exp(-f)) / f
 
 
 def iota_infinity(p: float) -> float:

@@ -116,15 +116,20 @@ def format_value(v) -> str:
     return str(v)
 
 
-def summary_to_csv(summary: RunSummary) -> str:
+def csv_text(columns, rows, comments=()) -> str:
+    """One-field comment lines, the header, then the rows (format_value cells)."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"# seed={summary.metadata['seed']} version={summary.metadata['version']}"])
-    w.writerow([f"# config={json.dumps(summary.config, sort_keys=True)}"])
-    w.writerow(summary.columns)
-    for row in summary.rows:
-        w.writerow([format_value(v) for v in row])
+    w.writerows([c] for c in comments)
+    w.writerow(columns)
+    w.writerows([format_value(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def summary_to_csv(summary: RunSummary) -> str:
+    head = f"# seed={summary.metadata['seed']} version={summary.metadata['version']}"
+    config = f"# config={json.dumps(summary.config, sort_keys=True)}"
+    return csv_text(summary.columns, summary.rows, (head, config))
 
 
 def summary_to_json(summary: RunSummary) -> str:
@@ -136,21 +141,15 @@ def summary_to_json(summary: RunSummary) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _metadata(cfg: ExperimentConfig) -> dict:
-    return {"seed": cfg.seed, "version": VERSION, "replications": cfg.replications}
-
-
 def _finish(cfg, columns, rows) -> RunSummary:
-    return RunSummary(columns=columns, rows=rows, config=asdict(cfg), metadata=_metadata(cfg))
+    metadata = {"seed": cfg.seed, "version": VERSION, "replications": cfg.replications}
+    return RunSummary(columns=columns, rows=rows, config=asdict(cfg), metadata=metadata)
 
 
-def _quantiles(x: np.ndarray) -> tuple[float, float, float]:
-    q = np.quantile(x, [0.05, 0.5, 0.95])
-    return float(q[0]), float(q[1]), float(q[2])
-
-
-def _params(cfg: ExperimentConfig, n: int, p: float) -> chain.ModelParams:
-    return chain.ModelParams(n=n, kind=cfg.model, p=p)
+def _spread(values) -> list[float]:
+    """Mean, sd (ddof=1) and the 5/50/95% quantiles of one cell's replications."""
+    x = np.asarray(values, dtype=float)
+    return [float(x.mean()), float(x.std(ddof=1)), *map(float, np.quantile(x, [0.05, 0.5, 0.95]))]
 
 
 def _usable_cpus() -> int:
@@ -182,10 +181,10 @@ def _replicate(cfg: ExperimentConfig, cell: int, n: int, fn) -> list:
     )
 
 
-def _absorption_runs(cfg: ExperimentConfig, cell: int, params: chain.ModelParams):
+def _absorption_runs(cfg: ExperimentConfig, cell: int, n: int, p: float):
     """Final states of `cell`'s replications, run to absorption or 10 N steps; capped count."""
-    cap = 10 * params.n
-    runs = _replicate(cfg, cell, params.n, lambda rng: chain.run_to_absorption(params, cap, rng))
+    params = chain.ModelParams(n, cfg.model, p)
+    runs = _replicate(cfg, cell, n, lambda rng: chain.run_to_absorption(params, 10 * n, rng))
     return [final for final, _ in runs], sum(not absorbed for _, absorbed in runs)
 
 
@@ -198,7 +197,7 @@ def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
     p = cfg.p_values[0]
     rows = []
     for cell, n in enumerate(cfg.n_values):
-        params = _params(cfg, n, p)
+        params = chain.ModelParams(n, cfg.model, p)
         states = dynamics.det_orbit(params, cfg.t_max)
         orbit = np.array([(s.iota, s.alpha, s.delta) for s in states])
         times = np.arange(cfg.t_max + 1)
@@ -208,11 +207,7 @@ def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
             counts = np.array([(s.unvisited, s.active, s.dead) for s in traj])
             return float(np.abs(counts[np.minimum(times, len(traj) - 1)] / (n + 1) - orbit).max())
 
-        devs = np.array(_replicate(cfg, cell, n, deviation), dtype=float)
-        q05, q50, q95 = _quantiles(devs)
-        rows.append(
-            [n, cfg.replications, float(devs.mean()), float(devs.std(ddof=1)), q05, q50, q95]
-        )
+        rows.append([n, cfg.replications, *_spread(_replicate(cfg, cell, n, deviation))])
     cols = ["n", "replications", "mean_dev", "sd_dev", "q05", "q50", "q95"]
     return _finish(cfg, cols, rows)
 
@@ -222,23 +217,10 @@ def final_fraction_experiment(cfg: ExperimentConfig) -> RunSummary:
     p = cfg.p_values[0]
     rows = []
     for cell, n in enumerate(cfg.n_values):
-        finals, capped = _absorption_runs(cfg, cell, _params(cfg, n, p))
-        fracs = np.array([final.unvisited / (n + 1) for final in finals], dtype=float)
+        finals, capped = _absorption_runs(cfg, cell, n, p)
+        fracs = _spread([final.unvisited / (n + 1) for final in finals])
         times = np.array([final.t for final in finals], dtype=float)
-        q05, q50, q95 = _quantiles(fracs)
-        rows.append(
-            [
-                n,
-                cfg.replications,
-                capped,
-                float(fracs.mean()),
-                float(fracs.std(ddof=1)),
-                q05,
-                q50,
-                q95,
-                float(times.mean()),
-            ]
-        )
+        rows.append([n, cfg.replications, capped, *fracs, float(times.mean())])
     cols = [
         "n",
         "replications",
@@ -261,11 +243,9 @@ def phase_sweep(cfg: ExperimentConfig) -> RunSummary:
     n = cfg.n_values[0]
     rows = []
     for cell, p in enumerate(cfg.p_values):
-        finals, capped = _absorption_runs(cfg, cell, _params(cfg, n, p))
-        visited = np.array([(n + 1 - final.unvisited) / (n + 1) for final in finals], dtype=float)
-        rows.append(
-            [p, n, cfg.replications, capped, float(visited.mean()), float(visited.std(ddof=1))]
-        )
+        finals, capped = _absorption_runs(cfg, cell, n, p)
+        visited = _spread([(n + 1 - final.unvisited) / (n + 1) for final in finals])
+        rows.append([p, n, cfg.replications, capped, *visited[:2]])
     cols = ["p", "n", "replications", "capped", "mean_visited_frac", "sd_visited_frac"]
     return _finish(cfg, cols, rows)
 

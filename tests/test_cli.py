@@ -1,10 +1,12 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -46,6 +48,33 @@ def test_module_entry_point(args, code):
     assert res.returncode == code
     here = run_cli(*args)
     assert (res.returncode, res.stdout, res.stderr) == (here.returncode, here.stdout, here.stderr)
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The `frogsim ...` commands of README's CLI block, `\\` continuations joined, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("frogsim ")]
+
+
+README_COMMANDS = _readme_cli_commands()
+
+
+def test_readme_cli_block_found():
+    assert len(README_COMMANDS) >= 7
+    assert {argv[0] for argv in README_COMMANDS} == {"simulate", "det", "limits", "experiment"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a) for a in README_COMMANDS])
+def test_readme_command_runs(argv, tmp_path):
+    """Each README command parses and runs, its --out (or a new one) under tmp_path."""
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv = [*argv[:i], str(tmp_path / argv[i]), *argv[i + 1:]]
+    else:
+        argv = [*argv, "--out", str(tmp_path / "out.txt")]
+    assert run_cli(*argv).returncode == 0
 
 
 class TestSimulate:

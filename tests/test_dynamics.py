@@ -270,6 +270,11 @@ class TestIotaInfinity:
     def test_near_one_vanishes(self):
         assert iota_infinity(0.999) < 0.01
 
+    def test_underflowed_root_is_positive_zero(self):
+        # At p = 0.999, f exp(-f) underflows; the limits print "0", not "-0".
+        assert math.copysign(1.0, iota_infinity(0.999)) == 1.0
+        assert math.copysign(1.0, fixed_point_tauN(0.999, 1000)) == 1.0
+
     def test_continuous_at_half(self):
         assert iota_infinity(0.5 + 1e-9) == pytest.approx(1.0, abs=1e-6)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 
 from frogsim import harness
 from frogsim.chain import ChainState, ModelParams, replication_rng, simulate_trajectory
+from frogsim.cli import main
 from frogsim.dynamics import det_orbit
 from frogsim.harness import (
     KINDS,
@@ -124,6 +126,57 @@ class TestSerialization:
         text = summary_to_csv(self.make_summary())
         assert "seed=5" in text
         assert "fig1" in text
+
+
+class TestGoldenBytes:
+    """Seeded experiment and CLI table outputs, pinned byte for byte.
+
+    Criterion 10 reruns the same code; these digests pin the bytes across
+    changes to the writers and reducers.  A digest may change only with a
+    deliberate change of output format or of a sampler's stream.
+    """
+
+    CASES = {
+        "lln_csv": (
+            ["experiment", "--kind", "lln", "--model", "geom", "--p", "0.6", "--n", "20,40",
+             "--tmax", "10", "--reps", "5", "--seed", "3"],
+            "68ef6c1a6b07f8aa96d77ed55ec4915fb1d04f2d001a9f6ca3afe8b455a750a1",
+        ),
+        "lln_json": (
+            ["experiment", "--kind", "lln", "--p", "0.5", "--n", "30", "--tmax", "8",
+             "--reps", "4", "--seed", "4", "--format", "json"],
+            "67c7cad8744db0af1df0972095333a95c751751aee132d9d7ed0202b3ddee531",
+        ),
+        "final": (
+            ["experiment", "--kind", "final", "--model", "geom", "--p", "0.7", "--n", "20,50",
+             "--reps", "6", "--seed", "5"],
+            "bc4db976a769ffe48ae07dff522d7c0717f899ed2519536ccc10c20a2bce5417",
+        ),
+        "phase": (
+            ["experiment", "--kind", "phase", "--p", "0.3,0.6,0.9", "--n", "30", "--reps", "5",
+             "--seed", "11"],
+            "34e3a79fad7c388c6dfd9a6de3a36bd86b5ea56e81187cf3842f1708d0fa8059",
+        ),
+        "simulate": (
+            ["simulate", "--model", "geom", "--n", "50", "--p", "0.6", "--tmax", "15", "--seed", "2"],
+            "f7ea73b375ec726b8fc0dad6c210a4f3432ca67ef6cb9e553151a389e638f766",
+        ),
+        "det_csv": (
+            ["det", "--model", "nongeom", "--n", "50", "--tmax", "10"],
+            "c7d94397fc088db983ca99bf89b1c714b017148ed29b008db8e2e8a77371fd3b",
+        ),
+        "det_json": (
+            ["det", "--model", "geom", "--n", "50", "--p", "0.8", "--tmax", "10", "--format", "json"],
+            "98f00ba3c22a60b872de57c5ca1112c84f41ed103543a938fa22251144614db9",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_output_digest(self, case, tmp_path):
+        argv, digest = self.CASES[case]
+        out = tmp_path / case
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestLln:

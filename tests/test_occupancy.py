@@ -191,10 +191,12 @@ class TestEmpboxSampler:
                 assert lo <= x <= c - 1
 
     def test_chi_square_against_pmf(self):
+        # The scalar ball thrower; test_batch_matches_law checks the batch at this width.
         rng = np.random.default_rng(2)
-        draws = sample_empbox_batch(np.full(10**5, 4), 3, rng)
+        spec = OccupancySpec(4, 3)
+        draws = np.array([sample_empbox(spec, rng) for _ in range(10**5)])
         obs = np.bincount(draws, minlength=4)
-        exp = empbox_pmf(OccupancySpec(4, 3)) * 10**5
+        exp = empbox_pmf(spec) * 10**5
         keep = exp > 5
         _, pval = scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())
         assert pval > 0.001
