@@ -193,6 +193,6 @@ def alpha_peak_index(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> PeakResult:
     alphas = [s.alpha for _, s in pairs]
     completed = _settled(*pairs[-1], DEFAULT_ALPHA_TOL)
     peak = max(range(len(alphas)), key=lambda j: (alphas[j], j))
-    rising = all(a < b for a, b in zip(alphas[: peak - 1], alphas[1:peak]))
+    rising = all(a < b for a, b in zip(alphas[:peak], alphas[1 : peak + 1]))
     falling = all(a > b for a, b in zip(alphas[peak:], alphas[peak + 1 :]))
     return PeakResult(index=peak, pattern_ok=completed and rising and falling, completed=completed)

@@ -18,18 +18,20 @@ cell `cell` draws from its own stream, `chain.replication_rng(seed, cell,
 rep)`, so output files are byte-identical across runs.
 
 One driver, `_map_in_order`, runs every stochastic kind's independent work:
-`fn(key)` for each key, in key order, on one thread per usable CPU (the
-affinity mask, so `taskset` limits them) when asked, else in a plain loop.
-Threads pay only where the work is mostly NumPy calls that release the GIL;
-for short Python steps they only trade the GIL.  Each caller decides from its
-input, never from the CPU count:
-  lln, final and phase  a cell's replications (`_replicate`), at N >= _THREAD_MIN_N
+`fn(key)` for each key, in key order, on one forked worker process per usable
+CPU (the affinity mask, so `taskset` limits them) when asked, else in a plain
+loop.  Only the keys go to the workers and only the results come back; `fn`
+itself, a closure, is inherited through the fork.  Where the "fork" start
+method is missing or another thread runs, the work runs in the plain loop.
+Workers pay only where a call's work is long beside the pool's start-up and
+shut-down, about 10 ms per call.  Each caller decides from its input, never
+from the CPU count:
+  lln, final and phase  a cell's replications (`_replicate`), at N >= _PARALLEL_MIN_N
   moments               the panel cells, always; a cell's samples are drawn and
                         reduced to its z rows in its own task, so only one cell
-                        per thread is in memory
-Every task draws from its own stream, the chain and occupancy functions share
-no mutable state, and results are gathered in key order, so the output bytes
-do not depend on the number of threads.
+                        per worker is in memory
+Every task draws from its own stream and results are gathered in key order,
+so the output bytes do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .occupancy import sample_binomial_batch, sample_empbox_batch
 VERSION = f"frogsim-{__version__}"
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
-_THREAD_MIN_N = 2**18  # smallest N threaded; 2 threads lose to 1 below about 1e5-3e5
+_PARALLEL_MIN_N = 2**18  # smallest N whose replications run on workers (timed on threads)
 
 
 @dataclass(frozen=True)
@@ -157,27 +159,49 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map_in_order(fn, keys, threaded: bool) -> list:
+_task = None  # a worker's `fn`, set once by `_install` in that worker
+
+
+def _install(fn) -> None:
+    """Worker initializer: keep `fn`, and leave Ctrl-C to the parent, which ends the pool."""
+    global _task
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _task = fn
+
+
+def _run(key):
+    """One task in a worker: its installed `fn` of `key`."""
+    return _task(key)
+
+
+def _map_in_order(fn, keys, parallel: bool) -> list:
     """`fn(key)` for each key, in key order.
 
-    With `threaded`, on min(usable CPUs, len(keys)) threads; otherwise, or
-    with one CPU, in a plain loop on the calling thread.
+    With `parallel`, on min(usable CPUs, len(keys)) forked worker processes,
+    which the call ends before it returns or raises; otherwise, with one CPU,
+    without the "fork" start method, or while another thread runs (a fork
+    copies only this thread, and a lock another one holds stays held in the
+    worker), in a plain loop in this process.
     """
-    workers = min(_usable_cpus(), len(keys)) if threaded else 1
-    if workers <= 1:
-        return [fn(key) for key in keys]
-    from concurrent.futures import ThreadPoolExecutor  # lazy: keeps CLI start-up short
+    workers = min(_usable_cpus(), len(keys)) if parallel else 1
+    if workers > 1:
+        import multiprocessing  # lazy: keeps CLI start-up short
+        import threading
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, keys))
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            with multiprocessing.get_context("fork").Pool(workers, _install, (fn,)) as pool:
+                return pool.map(_run, keys, chunksize=1)
+    return [fn(key) for key in keys]
 
 
 def _replicate(cfg: ExperimentConfig, cell: int, n: int, fn) -> list:
-    """`fn(rng)` for each replication of `cell`, in rep order; threaded at N >= _THREAD_MIN_N."""
+    """`fn(rng)` for each replication of `cell`, in rep order; on workers at N >= _PARALLEL_MIN_N."""
     return _map_in_order(
         lambda rep: fn(chain.replication_rng(cfg.seed, cell, rep)),
         range(cfg.replications),
-        n >= _THREAD_MIN_N,
+        n >= _PARALLEL_MIN_N,
     )
 
 
@@ -331,7 +355,7 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
     """Standardized deviations of Monte Carlo one-step moments vs the oracles.
 
     Cell `cell` of the panel draws from `replication_rng(seed, cell, 0)`; the
-    cells run on threads through `_map_in_order`.
+    cells run on worker processes through `_map_in_order`.
     """
     panel_rng = chain.replication_rng(cfg.seed, 999)
     panel = moment_panel(cfg, panel_rng)
@@ -401,5 +425,5 @@ KINDS = tuple(_DISPATCH)
 
 def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Run `cfg`; lln, final and phase at large N, and moments always, use a
-    thread per usable CPU (module docstring)."""
+    worker process per usable CPU (module docstring)."""
     return _DISPATCH[cfg.kind][0](cfg)

@@ -555,16 +555,15 @@ class TestExperiment:
         ids=["lln", "final", "phase", "moments-geom", "moments-nongeom"],
     )
     def test_jobs_threaded_output_identical(self, tmp_path, monkeypatch, args):
-        # Lower the N threshold so these small cells take the threaded path
+        # Lower the N threshold so these small cells take the parallel path
         # (the audit always does), and stand in 1, 2 and 3 usable CPUs for
-        # the affinity mask.  The spies record the threads that ran a
-        # replication or an audit cell.
-        import threading
-
+        # the affinity mask.  The spies append the pid of the process that
+        # ran a replication or an audit cell to a file, which forked workers
+        # share with this process.
         from frogsim import chain, harness
 
-        monkeypatch.setattr(harness, "_THREAD_MIN_N", 0)
-        threads = set()
+        monkeypatch.setattr(harness, "_PARALLEL_MIN_N", 0)
+        pids = tmp_path / "pids"
         for module, name in (
             (chain, "simulate_trajectory"),
             (chain, "run_to_absorption"),
@@ -573,22 +572,19 @@ class TestExperiment:
             real = getattr(module, name)
 
             def spy(*a, _real=real):
-                threads.add(threading.get_ident())
+                with open(pids, "a") as f:
+                    f.write(f"{os.getpid()}\n")
                 return _real(*a)
 
             monkeypatch.setattr(module, name, spy)
         outputs = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # frequent thread switches expose any shared state
-        try:
-            for cpus in (1, 2, 3):
-                monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-                threads.clear()
-                out = tmp_path / f"cpus{cpus}.csv"
-                assert cli.main(["experiment", *args, "--seed", "11", "--out", str(out)]) == 0
-                outputs[cpus] = out.read_bytes()
-                main_only = threads == {threading.get_ident()}
-                assert main_only == (cpus == 1)
-        finally:
-            sys.setswitchinterval(interval)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            pids.write_text("")
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert cli.main(["experiment", *args, "--seed", "11", "--out", str(out)]) == 0
+            outputs[cpus] = out.read_bytes()
+            ran_in = set(pids.read_text().split())
+            assert ran_in
+            assert (ran_in == {str(os.getpid())}) == (cpus == 1)
         assert outputs[1] == outputs[2] == outputs[3]

@@ -7,6 +7,7 @@ import pytest
 from frogsim.chain import GEOMETRIC, NONGEOMETRIC, ChainState, ModelParams, moments
 from frogsim.dynamics import (
     DetState,
+    PeakResult,
     alpha_peak_index,
     det_initial,
     det_orbit,
@@ -425,3 +426,13 @@ class TestAlphaPeak:
     def test_cap_before_alpha_falls_is_incomplete(self, max_steps):
         res = alpha_peak_index(10**13, max_steps=max_steps)
         assert not res.completed and not res.pattern_ok
+
+    def test_tie_at_the_top_is_not_strictly_rising(self, monkeypatch):
+        # The peak is the later index of a tie, so the last rising pair,
+        # alphas[1] < alphas[2], must be checked too.
+        from frogsim import dynamics
+
+        alphas = (0.1, 0.3, 0.3, 0.2, 1e-13)
+        states = [DetState(0.5, a, 0.5 - a, t) for t, a in enumerate(alphas)]
+        monkeypatch.setattr(dynamics, "_orbit", lambda *a: zip([states[0], *states], states))
+        assert alpha_peak_index(100) == PeakResult(index=2, pattern_ok=False, completed=True)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -296,21 +299,23 @@ class TestMomentAudit:
                 assert d["z_mean"] == 0.0 and d["z_var"] == 0.0
 
     def test_threaded_peak_memory_one_cell_per_worker(self, monkeypatch):
-        # A worker reduces its cell's samples to z rows before it takes the
-        # next cell, so the peak grows with workers x one cell, never with the
-        # 54-cell panel.  One cell: its samples, binomials and temporaries in
-        # 64 B per draw, and a fixed 20 B x 2**16 for the EmpBox CDF table and
-        # one block of doubles.
-        workers, draws = 3, 20_000
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+        # A process reduces its cell's samples to z rows before it takes the
+        # next cell, so its peak holds one cell, never the 54-cell panel: in
+        # the plain loop (1 CPU), and in the parent, which holds only results,
+        # beside 3 workers.  One cell: its samples, binomials and temporaries
+        # in 64 B per draw, and a fixed 20 B x 2**16 for the EmpBox CDF table
+        # and one block of doubles.
+        draws = 20_000
         cfg = ExperimentConfig(kind="moments", model="geometric", replications=draws, seed=2718)
-        tracemalloc.start()
-        try:
-            moment_audit(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < workers * (64 * draws + 20 * 2**16)
+        for workers in (1, 3):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+            tracemalloc.start()
+            try:
+                moment_audit(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * draws + 20 * 2**16, workers
 
     @pytest.mark.parametrize("model,cell", [("geometric", 35), ("nongeometric", 38)])
     def test_integer_sums_match_two_pass(self, model, cell):
@@ -389,6 +394,74 @@ class TestReplications:
         a = replication_rng(7, 1, 2).integers(0, 2**62, size=4)
         b = np.random.default_rng(np.random.SeedSequence([7, 1, 2])).integers(0, 2**62, size=4)
         assert np.array_equal(a, b)
+
+
+class TestMapInOrder:
+    """The one driver, `harness._map_in_order`, on forked workers (2 usable CPUs)."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+    def test_results_in_key_order_no_worker_left(self):
+        results = harness._map_in_order(lambda k: (k, os.getpid()), range(6), True)
+        assert [k for k, _ in results] == list(range(6))
+        assert {pid for _, pid in results} - {os.getpid()}
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reraised_no_worker_left(self):
+        def fn(key):
+            if key == 3:
+                raise ValueError(f"bad key {key}")
+            return key
+
+        with pytest.raises(ValueError, match="^bad key 3$") as info:
+            harness._map_in_order(fn, range(6), True)
+        assert type(info.value) is ValueError
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fallback", ["no-fork", "other-thread"])
+    def test_fallback_runs_in_process_same_bytes(self, tmp_path, monkeypatch, fallback):
+        # Without the "fork" start method, or while another thread runs (a
+        # fork would copy only this one), the work runs in this process and
+        # writes the same bytes as on forked workers.
+        from frogsim import chain
+
+        monkeypatch.setattr(harness, "_PARALLEL_MIN_N", 0)
+        pids = tmp_path / "pids"
+        real = chain.run_to_absorption
+
+        def spy(*a):
+            with open(pids, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(*a)
+
+        monkeypatch.setattr(chain, "run_to_absorption", spy)
+        cfg = ExperimentConfig(kind="final", model="geometric", p_values=(0.8,), n_values=(50, 80),
+                               replications=6, seed=3)
+
+        def run():
+            pids.write_text("")
+            out = summary_to_csv(final_fraction_experiment(cfg))
+            return out, set(pids.read_text().split())
+
+        forked, forked_in = run()
+        if fallback == "no-fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+            plain, plain_in = run()
+        else:
+            stop = threading.Event()
+            other = threading.Thread(target=stop.wait)
+            other.start()
+            try:
+                plain, plain_in = run()
+            finally:
+                stop.set()
+                other.join(timeout=10)
+            assert not other.is_alive()
+        assert forked_in - {str(os.getpid())}
+        assert plain_in == {str(os.getpid())}
+        assert plain == forked
 
 
 class TestDispatch:
