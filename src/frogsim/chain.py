@@ -9,6 +9,7 @@ them pick unvisited vertices, I' ~ EmpBox(Z, I), A' = X + I - I'.
 Nongeometric step: Z ~ Binomial(A, I/N), I' ~ EmpBox(Z, I),
 A' = Z + I - I'.  In both, D' closes the sum to N + 1.  `transition` writes
 this law once; the scalar steps and the moment audit's batched draws call it.
+`_states` runs the scalar chain for trajectories and runs to absorption alike.
 `moments` gives its closed-form conditional moments from `model_rates`.
 """
 
@@ -137,41 +138,29 @@ def step_nongeometric(
     return ChainState(i1, a1, d1, state.t + 1), (z,)
 
 
-def step(
-    state: ChainState, params: ModelParams, rng: np.random.Generator
-) -> tuple[ChainState, tuple[int, ...]]:
-    if params.kind == GEOMETRIC:
-        return step_geometric(state, params, rng)
-    return step_nongeometric(state, params, rng)
+def _states(params: ModelParams, steps: int, rng: np.random.Generator):
+    """States from `initial_state` until A = 0 or t = `steps`.  The step is looked up
+    by its module name once per run, so a wrapper set on that name sees every step."""
+    step = step_geometric if params.kind == GEOMETRIC else step_nongeometric
+    state = initial_state(params)
+    yield state
+    while state.active and state.t < steps:
+        state, _aux = step(state, params, rng)
+        yield state
 
 
-def simulate_trajectory(
-    params: ModelParams, t_max: int, rng: np.random.Generator
-) -> list[ChainState]:
+def simulate_trajectory(params: ModelParams, t_max: int, rng: np.random.Generator) -> list[ChainState]:
     """States from t = 0 up to t_max, stopping early at absorption (A = 0)."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    states = [initial_state(params)]
-    for _ in range(t_max):
-        if states[-1].active == 0:
-            break
-        nxt, _aux = step(states[-1], params, rng)
-        states.append(nxt)
-    return states
+    return list(_states(params, t_max, rng))
 
 
-def run_to_absorption(
-    params: ModelParams, cap: int, rng: np.random.Generator
-) -> tuple[ChainState, bool]:
-    """Step until A = 0 or `cap` steps; p = 1 never absorbs, hence the cap."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    state = initial_state(params)
-    for _ in range(cap):
-        if state.active == 0:
-            return state, True
-        state, _aux = step(state, params, rng)
-    return state, state.active == 0
+def run_to_absorption(params: ModelParams, rng: np.random.Generator) -> tuple[ChainState, bool]:
+    """The last state of a run to A = 0 or 10 N steps (p = 1 never absorbs), and whether A = 0."""
+    for final in _states(params, 10 * params.n, rng):
+        pass
+    return final, final.active == 0
 
 
 def moments(state: ChainState, params: ModelParams) -> OneStepMoments:

@@ -152,7 +152,7 @@ class TestSteps:
     def test_absorption_is_permanent(self):
         params = ModelParams(n=15, kind=NONGEOMETRIC)
         rng = np.random.default_rng(3)
-        final, absorbed = run_to_absorption(params, 500, rng)
+        final, absorbed = run_to_absorption(params, rng)
         assert absorbed and final.active == 0
         nxt, _ = step_nongeometric(final, params, rng)
         assert (nxt.unvisited, nxt.active, nxt.dead) == (
@@ -181,9 +181,21 @@ class TestTrajectoryPlumbing:
     def test_cap_reached_flag(self):
         params = ModelParams(n=10, kind=GEOMETRIC, p=1.0)
         rng = np.random.default_rng(1)
-        final, absorbed = run_to_absorption(params, 5, rng)
+        final, absorbed = run_to_absorption(params, rng)
         # p = 1 never kills particles, so absorption is impossible.
-        assert not absorbed and final.t == 5
+        assert not absorbed and final.t == 100
+
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.8), (GEOMETRIC, 1.0), (NONGEOMETRIC, None)])
+    def test_absorption_run_is_trajectory_end(self, kind, p):
+        # One loop runs both: a run to absorption ends where a trajectory of
+        # the 10 N cap ends, drawing the same stream.
+        params = ModelParams(n=12, kind=kind, p=p)
+        for seed in range(20):
+            final, absorbed = run_to_absorption(params, replication_rng(seed, 0))
+            assert final == simulate_trajectory(params, 120, replication_rng(seed, 0))[-1]
+            assert absorbed == (final.active == 0)
+            if p == 1.0:
+                assert not absorbed and final.t == 120
 
 
 class TestMomentsGeometric:

@@ -3,7 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -462,6 +466,56 @@ class TestMapInOrder:
         assert forked_in - {str(os.getpid())}
         assert plain_in == {str(os.getpid())}
         assert plain == forked
+
+    def test_sigterm_ends_busy_workers_quietly(self, tmp_path):
+        # A `final` run whose replications go to 2 workers gets SIGTERM once
+        # both workers have started a replication.  The pool must end the
+        # workers before the process exits with 128 + 15: a worker that
+        # outlives its parent finishes its task, then dies of BrokenPipeError
+        # with a traceback.  Reading stderr to EOF waits for every worker.
+        pids = tmp_path / "pids"
+        pids.write_text("")
+        script = (
+            "import os, sys\n"
+            "from frogsim import chain, cli, harness\n"
+            "harness._usable_cpus = lambda: 2\n"
+            "harness._PARALLEL_MIN_N = 0\n"
+            "real = chain.run_to_absorption\n"
+            "def spy(*a):\n"
+            "    with open(sys.argv[1], 'a') as f:\n"
+            "        f.write(f'{os.getpid()}\\n')\n"
+            "    return real(*a)\n"
+            "chain.run_to_absorption = spy\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        argv = ["experiment", "--kind", "final", "--model", "geom", "--p", "0.8", "--n", "2000",
+                "--reps", "100000", "--seed", "3", "--out", str(tmp_path / "final.csv")]
+        proc = subprocess.Popen([sys.executable, "-c", script, str(pids), *argv],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while len(set(pids.read_text().split()) - {str(proc.pid)}) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert "Traceback" not in err, err
+
+    def test_sigterm_handler_restored(self):
+        def own(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, own)
+        try:
+            assert harness._map_in_order(lambda k: k, range(4), True) == [0, 1, 2, 3]
+            assert signal.getsignal(signal.SIGTERM) is own
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestDispatch:
