@@ -8,15 +8,17 @@ Geometric step: X ~ Binomial(A, p) survivors, Z ~ Binomial(X, I/N) of
 them pick unvisited vertices, I' ~ EmpBox(Z, I), A' = X + I - I'.
 Nongeometric step: Z ~ Binomial(A, I/N), I' ~ EmpBox(Z, I),
 A' = Z + I - I'.  In both, D' closes the sum to N + 1.  `transition` writes
-this law once; the scalar steps and the moment audit's batched draws call it.
-`_states` runs the scalar chain for trajectories and runs to absorption alike.
-`moments` gives its closed-form conditional moments from `model_rates`.
+this law once; `step`, the scalar step of both models, and the moment audit's
+batched draws call it.  `_states` runs the scalar chain on plain ints for
+trajectories and runs to absorption alike; a `ChainState` is built only for
+what they return.  `moments` gives the closed-form conditional moments of a
+caller's state, which it validates, from `model_rates`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -93,7 +95,7 @@ def transition(i: int, a: int, params: ModelParams, rng: np.random.Generator, bi
     """The one step law from (I, A): (I', A', D', X, Z), with X = Z in the nongeometric model.
 
     Its only draws are `binomial(m, q, rng)` and `empbox(balls, boxes, rng)`:
-    ints from the scalar steps, arrays from the moment audit.  I = 0 forces
+    ints from `step`, arrays from the moment audit.  I = 0 forces
     Z = 0 = I', so `empbox` is called only for I > 0.
     """
     n = params.n
@@ -112,54 +114,44 @@ def _resolve_empbox(z: int, boxes: int, rng: np.random.Generator) -> int:
     return sample_empbox(OccupancySpec(z, boxes), rng) if z else boxes
 
 
-def step_geometric(
-    state: ChainState, params: ModelParams, rng: np.random.Generator
-) -> tuple[ChainState, tuple[int, int]]:
-    """One geometric-lifetime transition; returns (new state, (X, Z))."""
-    if params.kind != GEOMETRIC:
-        raise ValueError("step_geometric requires geometric params")
-    validate_state(state, params)
-    i1, a1, d1, x, z = transition(
-        state.unvisited, state.active, params, rng, sample_binomial, _resolve_empbox
-    )
-    return ChainState(i1, a1, d1, state.t + 1), (x, z)
+def step(i: int, a: int, params: ModelParams, rng: np.random.Generator) -> tuple[int, int, int, int, int]:
+    """One step of either model from (I, A): `transition`'s (I', A', D', X, Z).
+
+    Raises ValueError for an (I, A) off the simplex 0 <= I <= N, 0 <= A <= N + 1 - I.
+    """
+    if not (0 <= i <= params.n and 0 <= a <= params.n + 1 - i):
+        raise ValueError(f"(I, A) = ({i}, {a}) is off the simplex for n={params.n}")
+    return transition(i, a, params, rng, sample_binomial, _resolve_empbox)
 
 
-def step_nongeometric(
-    state: ChainState, params: ModelParams, rng: np.random.Generator
-) -> tuple[ChainState, tuple[int]]:
-    """One nongeometric-lifetime transition; returns (new state, (Z,))."""
-    if params.kind != NONGEOMETRIC:
-        raise ValueError("step_nongeometric requires nongeometric params")
-    validate_state(state, params)
-    i1, a1, d1, _x, z = transition(
-        state.unvisited, state.active, params, rng, sample_binomial, _resolve_empbox
-    )
-    return ChainState(i1, a1, d1, state.t + 1), (z,)
+# perfbench/tracing.py wraps the step by these two names; `_states` calls the one its kind picks.
+step_geometric = step_nongeometric = step
 
 
 def _states(params: ModelParams, steps: int, rng: np.random.Generator):
-    """States from `initial_state` until A = 0 or t = `steps`.  The step is looked up
-    by its module name once per run, so a wrapper set on that name sees every step."""
-    step = step_geometric if params.kind == GEOMETRIC else step_nongeometric
-    state = initial_state(params)
-    yield state
-    while state.active and state.t < steps:
-        state, _aux = step(state, params, rng)
-        yield state
+    """(I, A, D, t) from `initial_state` until A = 0 or t = `steps`.  The step is looked up
+    by the module name its kind picks once per run, so a wrapper set on that name sees every step."""
+    step_kind = step_geometric if params.kind == GEOMETRIC else step_nongeometric
+    i, a, d, t = astuple(initial_state(params))
+    yield i, a, d, t
+    while a and t < steps:
+        i, a, d, _x, _z = step_kind(i, a, params, rng)
+        t += 1
+        yield i, a, d, t
 
 
 def simulate_trajectory(params: ModelParams, t_max: int, rng: np.random.Generator) -> list[ChainState]:
     """States from t = 0 up to t_max, stopping early at absorption (A = 0)."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    return list(_states(params, t_max, rng))
+    return [ChainState(*s) for s in _states(params, t_max, rng)]
 
 
 def run_to_absorption(params: ModelParams, rng: np.random.Generator) -> tuple[ChainState, bool]:
     """The last state of a run to A = 0 or 10 N steps (p = 1 never absorbs), and whether A = 0."""
     for final in _states(params, 10 * params.n, rng):
         pass
+    final = ChainState(*final)
     return final, final.active == 0
 
 

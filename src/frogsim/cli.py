@@ -1,7 +1,8 @@
 """Command-line front end: simulate, det, limits, experiment subcommands.
 
 Data goes to --out (or stdout); diagnostics go to stderr.  Exit codes:
-0 success (including flagged non-convergence), 1 I/O failure, 2 usage.
+0 success (including flagged non-convergence), 1 I/O failure, 2 usage.  A SIGTERM
+while worker processes run raises SystemExit(143), which `main` lets through.
 FROGSIM_SEED provides simulate and experiment a default seed when --seed is absent.
 experiment --config reads its key=value lines as the flags --key=value; flags override them.
 """
@@ -204,12 +205,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "config", None):
+                args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
+        except SystemExit as exc:  # argparse's exit, for --help or bad flags
+            return exc.code if isinstance(exc.code, int) else 2
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from frogsim import chain
 from frogsim.chain import (
     GEOMETRIC,
     NONGEOMETRIC,
@@ -16,8 +17,7 @@ from frogsim.chain import (
     replication_rng,
     run_to_absorption,
     simulate_trajectory,
-    step_geometric,
-    step_nongeometric,
+    step,
 )
 from frogsim.harness import ExperimentConfig, moment_panel, one_step_samples
 from frogsim.occupancy import OccupancySpec, empbox_pmf
@@ -90,33 +90,34 @@ class TestParamsAndState:
         params = ModelParams(n=5, kind=GEOMETRIC, p=0.5)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            step_geometric(ChainState(5, 5, 5), params, rng)
+            step(5, 5, params, rng)  # (5, 5, 5) sums past N + 1
         with pytest.raises(ValueError):
-            step_geometric(ChainState(6, 0, 0), params, rng)
+            step(6, 0, params, rng)  # (6, 0, 0) has I > N
 
 
 class TestSteps:
     def test_geometric_absorbing_when_no_actives(self):
         params = ModelParams(n=10, kind=GEOMETRIC, p=0.7)
         rng = np.random.default_rng(0)
-        s = ChainState(4, 0, 7, t=3)
-        nxt, (x, z) = step_geometric(s, params, rng)
+        i1, a1, d1, x, z = step(4, 0, params, rng)
         assert (x, z) == (0, 0)
-        assert (nxt.unvisited, nxt.active, nxt.dead, nxt.t) == (4, 0, 7, 4)
+        assert (i1, a1, d1) == (4, 0, 7)
 
     def test_geometric_p1_first_step_deterministic(self):
         params = ModelParams(n=50, kind=GEOMETRIC, p=1.0)
         rng = np.random.default_rng(0)
-        nxt, (x, z) = step_geometric(initial_state(params), params, rng)
+        s = initial_state(params)
+        i1, a1, d1, x, z = step(s.unvisited, s.active, params, rng)
         assert (x, z) == (1, 1)
-        assert (nxt.unvisited, nxt.active, nxt.dead) == (49, 2, 0)
+        assert (i1, a1, d1) == (49, 2, 0)
 
     def test_nongeometric_first_step_deterministic(self):
         params = ModelParams(n=30, kind=NONGEOMETRIC)
         rng = np.random.default_rng(0)
-        nxt, (z,) = step_nongeometric(initial_state(params), params, rng)
-        assert z == 1
-        assert (nxt.unvisited, nxt.active, nxt.dead) == (29, 2, 0)
+        s = initial_state(params)
+        i1, a1, d1, x, z = step(s.unvisited, s.active, params, rng)
+        assert x == z == 1
+        assert (i1, a1, d1) == (29, 2, 0)
 
     def test_geometric_p0_absorbs_immediately(self):
         params = ModelParams(n=20, kind=GEOMETRIC, p=0.0)
@@ -141,25 +142,20 @@ class TestSteps:
         # D_{t+1} - D_t equals the number of failed survival coins A_t - X.
         params = ModelParams(n=40, kind=GEOMETRIC, p=0.7)
         rng = np.random.default_rng(7)
-        s = initial_state(params)
+        i, a, d = params.n, 1, 0
         for _ in range(100):
-            if s.active == 0:
+            if a == 0:
                 break
-            nxt, (x, _z) = step_geometric(s, params, rng)
-            assert nxt.dead - s.dead == s.active - x
-            s = nxt
+            i1, a1, d1, x, _z = step(i, a, params, rng)
+            assert d1 - d == a - x
+            i, a, d = i1, a1, d1
 
     def test_absorption_is_permanent(self):
         params = ModelParams(n=15, kind=NONGEOMETRIC)
         rng = np.random.default_rng(3)
         final, absorbed = run_to_absorption(params, rng)
         assert absorbed and final.active == 0
-        nxt, _ = step_nongeometric(final, params, rng)
-        assert (nxt.unvisited, nxt.active, nxt.dead) == (
-            final.unvisited,
-            0,
-            final.dead,
-        )
+        assert step(final.unvisited, final.active, params, rng)[:3] == (final.unvisited, 0, final.dead)
 
 
 class TestTrajectoryPlumbing:
@@ -196,6 +192,52 @@ class TestTrajectoryPlumbing:
             assert absorbed == (final.active == 0)
             if p == 1.0:
                 assert not absorbed and final.t == 120
+
+
+class TestTracedNames:
+    """perfbench's tracer wraps `chain.step_geometric`, `step_nongeometric`,
+    `sample_binomial` and `sample_empbox` by name, so every step of both runs
+    goes through the names, and each EmpBox draw gets an `OccupancySpec`."""
+
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.8), (NONGEOMETRIC, None)])
+    def test_each_step_calls_the_wrapped_names(self, kind, p, monkeypatch):
+        calls = Counter()
+
+        def spy(name, check=None):
+            real = getattr(chain, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                if check is not None:
+                    check(*args)
+                return real(*args)
+
+            monkeypatch.setattr(chain, name, wrapped)
+
+        def check_spec(spec, _rng):
+            assert isinstance(spec, OccupancySpec) and spec.balls >= 1
+
+        for name in ("step_geometric", "step_nongeometric", "sample_binomial"):
+            spy(name)
+        spy("sample_empbox", check_spec)
+        own, other = ("step_geometric", "step_nongeometric")
+        if kind == NONGEOMETRIC:
+            own, other = other, own
+        draws_per_step = 2 if kind == GEOMETRIC else 1
+        params = ModelParams(n=200, kind=kind, p=p)
+        empbox_calls = 0
+        for seed in range(5):
+            for run in (
+                lambda rng: run_to_absorption(params, rng)[0],
+                lambda rng: simulate_trajectory(params, 2000, rng)[-1],
+            ):
+                calls.clear()
+                final = run(replication_rng(seed, 0))
+                assert calls[own] == final.t and calls[other] == 0
+                assert calls["sample_binomial"] == draws_per_step * final.t
+                assert calls["sample_empbox"] <= final.t
+                empbox_calls += calls["sample_empbox"]
+        assert empbox_calls > 0
 
 
 class TestMomentsGeometric:
@@ -353,14 +395,13 @@ class TestOneStepLawEquivalence:
                 marginal[key] = marginal.get(key, 0.0) + pr
         draws = 40000
         rng = np.random.default_rng([17, len(kind), int(p * 100), n, state.unvisited])
-        stepper = step_geometric if kind == GEOMETRIC else step_nongeometric
-        scalar = [stepper(state, params, rng)[0] for _ in range(draws)]
+        scalar = [step(state.unvisited, state.active, params, rng)[:2] for _ in range(draws)]
         # The moment audit's batched draws of the same transition, in one call.
         i1, a1, _d1 = one_step_samples(state, params, draws, rng)
         keys = sorted(marginal)
         exp = np.array([marginal[k] * draws for k in keys])
         keep = exp >= 5
-        for pairs in ([(s.unvisited, s.active) for s in scalar], zip(i1.tolist(), a1.tolist())):
+        for pairs in (scalar, zip(i1.tolist(), a1.tolist())):
             counts = Counter(pairs)
             obs = np.array([counts[k] for k in keys])
             _, pval = scipy.stats.chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum())
@@ -403,13 +444,11 @@ class TestMonteCarloMomentAgreement:
     def test_small_state_five_sigma(self, kind, p, state, n):
         params = ModelParams(n=n, kind=kind, p=p)
         m = moments(state, params)
-        stepper = step_geometric if kind == GEOMETRIC else step_nongeometric
         rng = np.random.default_rng(99)
         r = 2 * 10**5
         samples = np.empty((r, 3))
         for j in range(r):
-            nxt, _ = stepper(state, params, rng)
-            samples[j] = (nxt.unvisited, nxt.active, nxt.dead)
+            samples[j] = step(state.unvisited, state.active, params, rng)[:3]
         for col, (e_th, v_th) in zip(
             samples.T,
             [

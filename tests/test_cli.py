@@ -2,8 +2,10 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -48,6 +50,47 @@ def test_module_entry_point(args, code):
     assert res.returncode == code
     here = run_cli(*args)
     assert (res.returncode, res.stdout, res.stderr) == (here.returncode, here.stdout, here.stderr)
+
+
+def test_sigterm_ends_a_process_that_calls_main(tmp_path):
+    # A script calls `cli.main` twice: a long `final` run on 2 workers, then
+    # `limits`.  SIGTERM, sent once both workers have started a replication,
+    # must end the script with 128 + 15, not become the first call's return
+    # value while the script goes on to the second call.
+    pids = tmp_path / "pids"
+    pids.write_text("")
+    script = (
+        "import os, sys\n"
+        "from frogsim import chain, cli, harness\n"
+        "harness._usable_cpus = lambda: 2\n"
+        "harness._PARALLEL_MIN_N = 0\n"
+        "real = chain.run_to_absorption\n"
+        "def spy(*a):\n"
+        "    with open(sys.argv[1], 'a') as f:\n"
+        "        f.write(f'{os.getpid()}\\n')\n"
+        "    return real(*a)\n"
+        "chain.run_to_absorption = spy\n"
+        "for argv in (sys.argv[2:], ['limits', '--p', '0.5']):\n"
+        "    cli.main(argv)\n"
+        "sys.exit(0)\n"
+    )
+    argv = ["experiment", "--kind", "final", "--model", "geom", "--p", "0.8", "--n", "2000",
+            "--reps", "100000", "--seed", "3", "--out", str(tmp_path / "final.csv")]
+    proc = subprocess.Popen([sys.executable, "-c", script, str(pids), *argv],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while len(set(pids.read_text().split()) - {str(proc.pid)}) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 128 + signal.SIGTERM, err
+    assert "Traceback" not in err, err
 
 
 def _readme_cli_commands() -> list[list[str]]:

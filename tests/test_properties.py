@@ -7,6 +7,7 @@ import dataclasses
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from frogsim import chain, cli, harness
@@ -33,6 +34,54 @@ def test_chain_invariants(kind, n, p, seed):
         assert cur.unvisited <= prev.unvisited
         assert cur.dead >= prev.dead
         assert cur.t == prev.t + 1
+    final, absorbed = chain.run_to_absorption(params, chain.replication_rng(seed))
+    assert final.unvisited + final.active + final.dead == n + 1
+    assert absorbed == (final.active == 0)
+    assert final.t <= 10 * n and (absorbed or final.t == 10 * n)
+
+
+@st.composite
+def _step_case(draw):
+    """(n, I, A, on the simplex): on it, 0 <= I <= N and 0 <= A <= N + 1 - I;
+    off it, one of I < 0, I > N, A < 0 and A > N + 1 - I."""
+    n = draw(st.integers(3, 400))
+    i = draw(st.integers(0, n))
+    a = draw(st.integers(0, n + 1 - i))
+    off = draw(st.sampled_from([None, "i<0", "i>n", "a<0", "a>n+1-i"]))
+    if off == "i<0":
+        i = draw(st.integers(-5, -1))
+    elif off == "i>n":
+        i = draw(st.integers(n + 1, n + 5))
+    elif off == "a<0":
+        a = draw(st.integers(-5, -1))
+    elif off == "a>n+1-i":
+        a = draw(st.integers(n + 2 - i, n + 10))
+    return n, i, a, off is None
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from([chain.GEOMETRIC, chain.NONGEOMETRIC]),
+    case=_step_case(),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_invariants(kind, case, p, seed):
+    # The checks that a per-step state validation used to make: `step` keeps
+    # the simplex, I never grows, D never falls, and it rejects a start off it.
+    n, i, a, on_simplex = case
+    params = chain.ModelParams(n=n, kind=kind, p=p)
+    rng = chain.replication_rng(seed)
+    if not on_simplex:
+        with pytest.raises(ValueError):
+            chain.step(i, a, params, rng)
+        return
+    i1, a1, d1, x, z = chain.step(i, a, params, rng)
+    assert i1 + a1 + d1 == n + 1
+    assert min(i1, a1, d1) >= 0
+    assert i1 <= i and d1 >= n + 1 - i - a
+    assert 0 <= z <= x <= a
+    assert kind == chain.GEOMETRIC or x == z
 
 
 @SETTINGS
