@@ -77,13 +77,10 @@ class OneStepMoments:
 
 
 def validate_state(state: ChainState, params: ModelParams) -> None:
-    n = params.n
-    if min(state.unvisited, state.active, state.dead) < 0:
-        raise ValueError(f"negative component in {state}")
-    if state.unvisited > n:
-        raise ValueError(f"unvisited={state.unvisited} exceeds n={n}")
-    if state.unvisited + state.active + state.dead != n + 1:
-        raise ValueError(f"components of {state} do not sum to n+1={n + 1}")
+    """Raises ValueError unless 0 <= I <= N, A >= 0, D >= 0 and I + A + D = N + 1."""
+    i, a, d, n = state.unvisited, state.active, state.dead, params.n
+    if not (0 <= i <= n and min(a, d) >= 0 and i + a + d == n + 1):
+        raise ValueError(f"{state} is off the simplex for n={n}")
 
 
 def initial_state(params: ModelParams) -> ChainState:

@@ -18,7 +18,7 @@ import sys
 from . import chain, dynamics, harness
 from .harness import format_value
 
-_MODEL = {"geom": "geometric", "nongeom": "nongeometric"}
+_MODEL = {"geom": chain.GEOMETRIC, "nongeom": chain.NONGEOMETRIC}
 
 
 def _seed(text: str) -> int:
@@ -159,19 +159,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_model(p):
+        p.add_argument("--model", choices=tuple(_MODEL), required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=float, default=1.0)
+
     p_sim = sub.add_parser("simulate", help="sample one chain trajectory")
-    p_sim.add_argument("--model", choices=("geom", "nongeom"), required=True)
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--p", type=float, default=1.0)
+    add_model(p_sim)
     p_sim.add_argument("--tmax", type=int, required=True)
     add_output(p_sim)
     p_sim.add_argument("--seed", type=_seed, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("det", help="run a deterministic orbit")
-    p_det.add_argument("--model", choices=("geom", "nongeom"), required=True)
-    p_det.add_argument("--n", type=int, required=True)
-    p_det.add_argument("--p", type=float, default=1.0)
+    add_model(p_det)
     length = p_det.add_mutually_exclusive_group(required=True)
     length.add_argument("--tmax", type=int, default=None)
     length.add_argument("--until-alpha", type=float, default=None, dest="until_alpha")
@@ -187,14 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a harness experiment")
     p_exp.add_argument("--kind", choices=harness.KINDS, default=None)
-    p_exp.add_argument("--model", choices=("geom", "nongeom"), default=None)
+    p_exp.add_argument("--model", choices=tuple(_MODEL), default=None)
     p_exp.add_argument("--p", type=_float_list, dest="p_values", metavar="P", help="comma-separated")
     p_exp.add_argument("--n", type=_int_list, dest="n_values", metavar="N", help="comma-separated")
     p_exp.add_argument("--tmax", type=int, dest="t_max", metavar="TMAX")
     p_exp.add_argument("--reps", type=int, dest="replications", metavar="REPS")
     p_exp.add_argument("--config", default=None, help="key=value config file")
-    p_exp.add_argument("--out", default=None)
-    p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_output(p_exp)
     p_exp.add_argument("--seed", type=_seed, default=None)
     p_exp.set_defaults(func=cmd_experiment)
 

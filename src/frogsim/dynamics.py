@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import NONGEOMETRIC, ModelParams, model_rates
+from .chain import GEOMETRIC, NONGEOMETRIC, ModelParams, model_rates
 
 DEFAULT_ALPHA_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**7
@@ -171,15 +171,8 @@ def iota_infinity(p: float) -> float:
 def fixed_point_tauN(p: float, n: int) -> float:
     """Unique fixed point in [0, 1) of tau_N(x) = (N/(N+1)) exp(-phi(p)(1-x))."""
     f = phi(p)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    ModelParams(n, GEOMETRIC, p)  # rejects n < 3
     return _least_root(f, n / (n + 1))
-
-
-def fixed_points_tau(p: float) -> tuple[float, ...]:
-    """Fixed points of tau(x) = exp(-phi(p)(1-x)) in [0, 1], increasing."""
-    iota = iota_infinity(p)
-    return (1.0,) if p <= 0.5 else (iota, 1.0)
 
 
 def alpha_peak_index(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> PeakResult:

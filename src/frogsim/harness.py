@@ -136,12 +136,14 @@ def summary_to_csv(summary: RunSummary) -> str:
 
 
 def summary_to_json(summary: RunSummary) -> str:
+    """Strict JSON (RFC 8259): a non-finite real goes out as its CSV text, "inf", "-inf" or "nan"."""
+    rows = [[format_value(v) if isinstance(v, float) and not np.isfinite(v) else v for v in r] for r in summary.rows]
     payload = {
         "config": summary.config,
-        "rows": [dict(zip(summary.columns, row)) for row in summary.rows],
+        "rows": [dict(zip(summary.columns, row)) for row in rows],
         "metadata": summary.metadata,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _finish(cfg, columns, rows) -> RunSummary:
@@ -160,20 +162,10 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-_task = None  # a worker's `fn`, set once by `_install` in that worker
-
-
-def _install(fn) -> None:
-    """Worker initializer: keep `fn`, and leave Ctrl-C to the parent, which ends the pool."""
-    global _task
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _task = fn
+_task = None  # the running `_map_in_order` call's `fn`: forked workers inherit it, and `_run` calls it
 
 
 def _run(key):
-    """One task in a worker: its installed `fn` of `key`."""
     return _task(key)
 
 
@@ -186,6 +178,7 @@ def _map_in_order(fn, keys, parallel: bool) -> list:
     copies only this thread, and a lock another one holds stays held in the
     worker), in a plain loop in this process.
     """
+    global _task
     workers = min(_usable_cpus(), len(keys)) if parallel else 1
     if workers > 1:
         import multiprocessing  # lazy: keeps CLI start-up short
@@ -193,13 +186,18 @@ def _map_in_order(fn, keys, parallel: bool) -> list:
         import threading
 
         if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-            with multiprocessing.get_context("fork").Pool(workers, _install, (fn,)) as pool:
-                # SIGTERM exits through this block, which ends the workers first.
-                previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
-                try:
-                    return pool.map(_run, keys, chunksize=1)
-                finally:
-                    signal.signal(signal.SIGTERM, previous)
+            _task = fn
+            try:
+                fork = multiprocessing.get_context("fork")
+                with fork.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+                    # Ctrl-C (ignored by the workers) and SIGTERM exit through this block, which ends the workers.
+                    previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
+                    try:
+                        return pool.map(_run, keys, chunksize=1)
+                    finally:
+                        signal.signal(signal.SIGTERM, previous)
+            finally:
+                _task = None
     return [fn(key) for key in keys]
 
 

@@ -94,6 +94,16 @@ class TestParamsAndState:
         with pytest.raises(ValueError):
             step(6, 0, params, rng)  # (6, 0, 0) has I > N
 
+    @pytest.mark.parametrize("kind,p", [(GEOMETRIC, 0.5), (NONGEOMETRIC, None)])
+    @pytest.mark.parametrize(
+        "state",
+        [(-1, 4, 3), (3, -1, 4), (3, 4, -1), (6, 0, 0), (2, 2, 3)],
+        ids=["I<0", "A<0", "D<0", "I>N", "sum!=N+1"],
+    )
+    def test_moments_rejects_state_off_simplex(self, state, kind, p):
+        with pytest.raises(ValueError):
+            moments(ChainState(*state), ModelParams(n=5, kind=kind, p=p))
+
 
 class TestSteps:
     def test_geometric_absorbing_when_no_actives(self):

@@ -13,7 +13,6 @@ from frogsim.dynamics import (
     det_orbit,
     det_step,
     fixed_point_tauN,
-    fixed_points_tau,
     iota_infinity,
     iterate_limit,
     lambert_w0,
@@ -286,11 +285,13 @@ class TestIotaInfinity:
 
 class TestFixedPoints:
     def test_tau_fixed_points_subcritical(self):
-        assert fixed_points_tau(0.4) == (1.0,)
+        # tau(x) = exp(-phi(p)(1-x)) has the one fixed point 1 in [0, 1].
+        assert iota_infinity(0.4) == 1.0
 
     def test_tau_fixed_points_supercritical(self):
-        pts = fixed_points_tau(0.6)
-        assert len(pts) == 2 and pts[0] < pts[1] == 1.0
+        # tau has two fixed points in [0, 1], iota_infinity(p) < 1 and 1.
+        pts = (iota_infinity(0.6), 1.0)
+        assert pts[0] < pts[1] == 1.0
         for x in pts:
             assert abs(math.exp(-phi(0.6) * (1 - x)) - x) <= 1e-10
 

@@ -23,6 +23,7 @@ from frogsim.harness import (
     fig1_data,
     fig3_data,
     final_fraction_experiment,
+    format_value,
     lln_experiment,
     moment_audit,
     moment_panel,
@@ -128,6 +129,23 @@ class TestSerialization:
         assert payload["metadata"]["seed"] == 5
         assert payload["config"]["kind"] == "fig1"
         assert len(payload["rows"]) == 2
+
+    def test_json_is_strict_with_infinite_z(self, tmp_path):
+        # At p = 0.999 some audit cells draw 400 equal values of a law that is
+        # not degenerate; their se is 0, so z is inf, written as "inf" in both formats.
+        argv = ["experiment", "--kind", "moments", "--model", "geom", "--p", "0.999",
+                "--reps", "400", "--seed", "0"]
+        assert main(argv + ["--format", "json", "--out", str(tmp_path / "z.json")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "z.csv")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rows = json.loads((tmp_path / "z.json").read_text(), parse_constant=reject)["rows"]
+        lines = (tmp_path / "z.csv").read_text().splitlines()
+        columns = lines[2].split(",")
+        assert [[format_value(row[c]) for c in columns] for row in rows] == [line.split(",") for line in lines[3:]]
+        assert sum(row[z] == "inf" for row in rows for z in ("z_mean", "z_var")) == 42
 
     def test_csv_carries_seed_and_config(self):
         text = summary_to_csv(self.make_summary())
@@ -423,6 +441,15 @@ class TestMapInOrder:
             harness._map_in_order(fn, range(6), True)
         assert type(info.value) is ValueError
         assert multiprocessing.active_children() == []
+        assert harness._task is None
+
+    def test_workers_inherit_the_task_and_leave_ctrl_c_to_the_parent(self):
+        results = harness._map_in_order(
+            lambda k: (signal.getsignal(signal.SIGINT) is signal.SIG_IGN, os.getpid()), range(4), True
+        )
+        assert all(ignored for ignored, _ in results)
+        assert os.getpid() not in {pid for _, pid in results}
+        assert harness._task is None
 
     @pytest.mark.parametrize("fallback", ["no-fork", "other-thread"])
     def test_fallback_runs_in_process_same_bytes(self, tmp_path, monkeypatch, fallback):
