@@ -20,11 +20,11 @@ rep)`, so output files are byte-identical across runs.
 One driver, `_map_in_order`, runs every stochastic kind's independent work:
 `fn(key)` for each key, in key order, on one forked worker process per usable
 CPU (the affinity mask, so `taskset` limits them) when asked, else in a plain
-loop.  Only the keys go to the workers and only the results come back; `fn`
-itself, a closure, is inherited through the fork.  Where the "fork" start
-method is missing or another thread runs, the work runs in the plain loop.
-Workers pay only where a call's work is long beside the pool's start-up and
-shut-down, about 13 ms per call.  A SIGTERM during a call ends its workers and
+loop.  Only key indices go to the workers and only results come back; `fn`
+itself, a closure, is inherited through the fork.  Without `os.fork`, or while
+another thread runs, the work runs in the plain loop.  Workers pay only where
+a call's work is long beside forking, handing out and reaping them, about
+4 ms per call on two workers.  A SIGTERM during a call ends its workers and
 then exits 143.  Each caller decides from its input, never from the CPU count:
   lln, final and phase  a cell's replications (`_replicate`), at N >= _PARALLEL_MIN_N
   moments               the panel cells, always; a cell's samples are drawn and
@@ -41,7 +41,9 @@ import io
 import itertools
 import json
 import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -52,7 +54,9 @@ from .occupancy import sample_binomial_batch, sample_empbox_batch
 VERSION = f"frogsim-{__version__}"
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
-_PARALLEL_MIN_N = 2**18  # smallest N whose replications run on workers; timed on threads, not re-timed on processes
+# The smallest N whose replications run on workers: from 2**16 on, `final` and `lln`
+# of both models ran faster on two forked workers than on one CPU (2-core x86_64 VM).
+_PARALLEL_MIN_N = 2**16
 
 
 @dataclass(frozen=True)
@@ -162,43 +166,123 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-_task = None  # the running `_map_in_order` call's `fn`: forked workers inherit it, and `_run` calls it
-
-
-def _run(key):
-    return _task(key)
-
-
 def _map_in_order(fn, keys, parallel: bool) -> list:
-    """`fn(key)` for each key, in key order.
+    """`fn(key)` for each key of the sequence `keys`, in key order.
 
-    With `parallel`, on min(usable CPUs, len(keys)) forked worker processes,
-    which the call ends before it returns or raises; otherwise, with one CPU,
-    without the "fork" start method, or while another thread runs (a fork
-    copies only this thread, and a lock another one holds stays held in the
-    worker), in a plain loop in this process.
+    With `parallel`, on min(usable CPUs, len(keys)) forked worker processes
+    (`_on_workers`); otherwise, with one CPU, without `os.fork`, or while
+    another thread runs (a fork copies only this thread, and a lock another
+    one holds stays held in the worker), in a plain loop in this process.
     """
-    global _task
     workers = min(_usable_cpus(), len(keys)) if parallel else 1
-    if workers > 1:
-        import multiprocessing  # lazy: keeps CLI start-up short
-        import signal
-        import threading
-
-        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-            _task = fn
-            try:
-                fork = multiprocessing.get_context("fork")
-                with fork.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-                    # Ctrl-C (ignored by the workers) and SIGTERM exit through this block, which ends the workers.
-                    previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
-                    try:
-                        return pool.map(_run, keys, chunksize=1)
-                    finally:
-                        signal.signal(signal.SIGTERM, previous)
-            finally:
-                _task = None
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _on_workers(fn, keys, workers)
     return [fn(key) for key in keys]
+
+
+def _on_workers(fn, keys, workers: int) -> list:
+    """`fn(key)` for each key, in key order, on `workers` forked processes,
+    every one of them ended and reaped before the call returns or raises.
+
+    The workers take key indices one at a time from one datagram socket, an
+    8-byte index per datagram, so each index reaches exactly one worker whole;
+    `workers` empty datagrams stop them.  Each worker reports on its own pipe
+    (`_work`).  The error of the lowest failing key is raised again here, and
+    a worker that ends without its report raises `ChildProcessError`.  A
+    SIGTERM during the call ends the workers, then exits 128 + 15; the
+    caller's handler is back when the call ends.
+    """
+    import select  # lazy, as signal and socket: keeps CLI start-up short
+    import signal
+    import socket
+
+    hand_out, take = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+    owner, reports = {}, {}  # a pipe's read end -> its worker's pid -> its report
+    previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            owner[read] = None  # so the finally closes it even if the fork fails
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, keys, take, write)
+            finally:
+                os.close(write)
+            owner[read], reports[pid] = pid, bytearray()
+        hand_out.setblocking(False)
+        poller, sent = select.poll(), 0
+        poller.register(hand_out, select.POLLOUT)
+        for read in owner:
+            poller.register(read, select.POLLIN)
+        reading = set(owner)
+        while reading:
+            for fd, _ in poller.poll():
+                if fd == hand_out.fileno():
+                    try:
+                        while sent < len(keys) + workers:
+                            hand_out.send(sent.to_bytes(8, "little") if sent < len(keys) else b"")
+                            sent += 1
+                        poller.unregister(fd)
+                    except BlockingIOError:  # the queue is full until a worker takes an index
+                        pass
+                elif chunk := os.read(fd, 1 << 16):
+                    reports[owner[fd]] += chunk
+                else:
+                    poller.unregister(fd)
+                    reading.remove(fd)
+    except BaseException:
+        for pid in reports:
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in reports}
+        signal.signal(signal.SIGTERM, previous)
+        for fd in owner:
+            os.close(fd)
+        hand_out.close()
+        take.close()
+    results, failures = [None] * len(keys), []
+    for pid, report in reports.items():
+        if codes[pid] or not report:
+            lost = ChildProcessError(f"worker {pid} exited with code {codes[pid]} without reporting")
+            failures.append((len(keys), lost))
+            continue
+        done, failure = pickle.loads(report)
+        for index, result in done:
+            results[index] = pickle.loads(result)
+        if failure:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _work(fn, keys, take, write):
+    """A forked worker's whole life, which ends in `os._exit`, never back in the
+    caller's stack: `fn` of each key whose index it takes from the socket
+    `take`, until an empty datagram or its first error, then one pickled report
+    on the pipe `write`, its (index, pickled result) pairs and its (index,
+    error) or None.  It ignores SIGINT, which the caller handles, and dies of
+    SIGTERM."""
+    import signal
+
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        done, failure = [], None
+        while failure is None and (index := take.recv(8)):
+            index = int.from_bytes(index, "little")
+            try:
+                done.append((index, pickle.dumps(fn(keys[index]))))
+            except Exception as error:  # raised again in the caller, for the lowest failing key
+                failure = (index, error)
+        with open(write, "wb") as out:
+            pickle.dump((done, failure), out)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _replicate(cfg: ExperimentConfig, cell: int, n: int, fn) -> list:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -425,13 +424,42 @@ class TestMapInOrder:
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
 
-    def test_results_in_key_order_no_worker_left(self):
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids of the workers forked while the test runs."""
+        pids, fork = [], os.fork
+
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids):
+        # Every worker was waited for: none is left running or as a zombie.
+        assert pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_results_in_key_order_no_worker_left(self, forked):
         results = harness._map_in_order(lambda k: (k, os.getpid()), range(6), True)
         assert [k for k, _ in results] == list(range(6))
-        assert {pid for _, pid in results} - {os.getpid()}
-        assert multiprocessing.active_children() == []
+        assert {pid for _, pid in results} <= set(forked)
+        self.assert_reaped(forked)
 
-    def test_worker_error_reraised_no_worker_left(self):
+    def test_more_keys_than_a_buffer_holds_come_back_in_order(self, forked):
+        keys = range(50_000)
+        results = harness._map_in_order(lambda k: (k, os.getpid()), keys, True)
+        assert [k for k, _ in results] == list(keys)
+        assert {pid for _, pid in results} <= set(forked)
+        self.assert_reaped(forked)
+
+    def test_worker_error_reraised_no_worker_left(self, forked):
         def fn(key):
             if key == 3:
                 raise ValueError(f"bad key {key}")
@@ -440,8 +468,42 @@ class TestMapInOrder:
         with pytest.raises(ValueError, match="^bad key 3$") as info:
             harness._map_in_order(fn, range(6), True)
         assert type(info.value) is ValueError
-        assert multiprocessing.active_children() == []
-        assert harness._task is None
+        self.assert_reaped(forked)
+
+    def test_lowest_failing_key_reraised(self, forked):
+        def fn(key):
+            if key in (2, 5):
+                raise KeyError(key)
+            return key
+
+        with pytest.raises(KeyError) as info:
+            harness._map_in_order(fn, range(8), True)
+        assert info.value.args == (2,)
+        self.assert_reaped(forked)
+
+    def test_worker_that_dies_without_reporting_raises(self, forked):
+        # A worker that ends without its report (here fn exits it on key 3)
+        # makes the call raise, not wait; SIGALRM's default action ends the
+        # test process if it hangs.
+        parent = os.getpid()
+
+        def fn(key):
+            if key == 3 and os.getpid() != parent:
+                os._exit(3)
+            return key
+
+        signal.alarm(60)
+        try:
+            with pytest.raises(ChildProcessError, match="exited with code 3 without reporting"):
+                harness._map_in_order(fn, range(8), True)
+        finally:
+            signal.alarm(0)
+        self.assert_reaped(forked)
+
+    def test_result_that_cannot_be_pickled_raises(self, forked):
+        with pytest.raises(TypeError, match="cannot pickle"):
+            harness._map_in_order(lambda k: threading.Lock() if k == 4 else k, range(6), True)
+        self.assert_reaped(forked)
 
     def test_workers_inherit_the_task_and_leave_ctrl_c_to_the_parent(self):
         results = harness._map_in_order(
@@ -449,11 +511,10 @@ class TestMapInOrder:
         )
         assert all(ignored for ignored, _ in results)
         assert os.getpid() not in {pid for _, pid in results}
-        assert harness._task is None
 
     @pytest.mark.parametrize("fallback", ["no-fork", "other-thread"])
     def test_fallback_runs_in_process_same_bytes(self, tmp_path, monkeypatch, fallback):
-        # Without the "fork" start method, or while another thread runs (a
+        # Without `os.fork`, or while another thread runs (a
         # fork would copy only this one), the work runs in this process and
         # writes the same bytes as on forked workers.
         from frogsim import chain
@@ -478,7 +539,7 @@ class TestMapInOrder:
 
         forked, forked_in = run()
         if fallback == "no-fork":
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+            monkeypatch.delattr(os, "fork")
             plain, plain_in = run()
         else:
             stop = threading.Event()

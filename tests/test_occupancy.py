@@ -270,19 +270,30 @@ def _unique_reference(balls, boxes, seed):
     return np.array([boxes - np.unique(x).size for x in parts]).reshape(np.shape(balls))
 
 
-def _exact_inverse_cdf(b: int, c: int, u: float) -> int:
+def _stirling_rows(width: int):
+    """S(b, d) for d = 0..width, the Stirling numbers of the second kind, at
+    b = 0, 1, 2, ...; S(b, d) = d S(b - 1, d) + S(b - 1, d - 1) needs no
+    column beyond d, so the rows are exact at any width."""
+    row = [1] + [0] * width  # S(0, d)
+    while True:
+        yield row
+        row = [0] + [d * row[d] + row[d - 1] for d in range(1, width + 1)]
+
+
+def _exact_inverse_cdf(b: int, c: int, u: float, stirling=None) -> int:
     """Oracle: c - D, D the number of entries at or below u of the CDF of the
     distinct boxes hit by b balls in c boxes, from the rational law
     P(D = d) = S(b, d) c (c - 1) ... (c - d + 1) / c^b, S the Stirling numbers
-    of the second kind."""
-    stirling = [1] + [0] * b  # S(0, d)
-    for _ in range(b):
-        stirling = [0] + [d * stirling[d] + stirling[d - 1] for d in range(1, b + 1)]
-    cdf, falling, below = Fraction(0), 1, 0
+    of the second kind; `stirling`, row b of `_stirling_rows` at a width of at
+    least min(b, c), spares building it."""
+    if stirling is None:
+        stirling = next(itertools.islice(_stirling_rows(min(b, c)), b, None))
+    num, den = float(u).as_integer_ratio()
+    ways, falling, below = 0, 1, 0  # ways: c^b times the CDF at d
     for d in range(min(b, c) + 1):
         falling *= c - d + 1 if d else 1
-        cdf += Fraction(stirling[d] * falling, c**b)
-        if cdf > Fraction(u):
+        ways += stirling[d] * falling
+        if ways * den > num * c**b:
             break
         below += 1
     return c - below
@@ -320,6 +331,18 @@ class TestEmpboxCount:
             for b, u, x in zip(flat, doubles, expected):
                 cdf = np.cumsum(empbox_pmf(OccupancySpec(b, boxes))[::-1])
                 assert x == boxes - np.searchsorted(cdf / cdf[-1], u, side="right")
+
+    def test_more_ball_counts_than_a_key_indexes(self):
+        # Ball counts 0..3000, 3001 rows, more than the 2**11 of one search
+        # table: each draw is still the exact law's inverse CDF at its own
+        # double, and the call takes one double per draw.
+        balls, boxes = np.arange(3001), 13
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        out = sample_empbox_batch(balls, boxes, rng)
+        rows = _stirling_rows(boxes)
+        expected = [_exact_inverse_cdf(b, boxes, u, next(rows)) for b, u in zip(balls.tolist(), ref.random(balls.size))]
+        assert out.tolist() == expected
+        assert rng.integers(2**62) == ref.integers(2**62)
 
     def test_batch_stream_golden(self):
         # Frozen outputs of a narrow and a wide batch at a fixed seed; any change
