@@ -54,9 +54,11 @@ from .occupancy import sample_binomial_batch, sample_empbox_batch
 VERSION = f"frogsim-{__version__}"
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
-# The smallest N whose replications run on workers: from 2**16 on, `final` and `lln`
-# of both models ran faster on two forked workers than on one CPU (2-core x86_64 VM).
-_PARALLEL_MIN_N = 2**16
+# The smallest N whose replications run on workers.  On forked workers, `final` and
+# `lln` of both models already ran faster on two workers than on one CPU from 2**16
+# on (2-core x86_64 VM), but `phase` cells and runs of few replications were not
+# timed there, so it stays at the value timed on threads.
+_PARALLEL_MIN_N = 2**18
 
 
 @dataclass(frozen=True)
@@ -187,15 +189,19 @@ def _on_workers(fn, keys, workers: int) -> list:
     The workers take key indices one at a time from one datagram socket, an
     8-byte index per datagram, so each index reaches exactly one worker whole;
     `workers` empty datagrams stop them.  Each worker reports on its own pipe
-    (`_work`).  The error of the lowest failing key is raised again here, and
-    a worker that ends without its report raises `ChildProcessError`.  A
-    SIGTERM during the call ends the workers, then exits 128 + 15; the
-    caller's handler is back when the call ends.
+    (`_work`).  The error of the lowest failing key is raised again here, as
+    a RuntimeError with its type's name and message if it cannot be sent
+    back, and a worker that ends without its report raises
+    `ChildProcessError`.  A SIGTERM during the call ends the workers, then
+    exits 128 + 15; the caller's handler is back when the call ends.  SIGINT
+    and SIGTERM are held across each fork, so neither reaches a worker before
+    its own handlers are set, nor this process before it has the worker's pid.
     """
     import select  # lazy, as signal and socket: keeps CLI start-up short
     import signal
     import socket
 
+    held = {signal.SIGINT, signal.SIGTERM}
     hand_out, take = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
     owner, reports = {}, {}  # a pipe's read end -> its worker's pid -> its report
     previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
@@ -203,13 +209,15 @@ def _on_workers(fn, keys, workers: int) -> list:
         for _ in range(workers):
             read, write = os.pipe()
             owner[read] = None  # so the finally closes it even if the fork fails
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, held)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, keys, take, write)
+                    _work(fn, keys, take, write, mask)
+                owner[read], reports[pid] = pid, bytearray()
             finally:
                 os.close(write)
-            owner[read], reports[pid] = pid, bytearray()
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         hand_out.setblocking(False)
         poller, sent = select.poll(), 0
         poller.register(hand_out, select.POLLOUT)
@@ -252,32 +260,42 @@ def _on_workers(fn, keys, workers: int) -> list:
         for index, result in done:
             results[index] = pickle.loads(result)
         if failure:
-            failures.append(failure)
+            index, pickled, text = failure
+            try:
+                failures.append((index, pickle.loads(pickled)))
+            except Exception:  # not sent (None), or sent but not rebuilt here
+                failures.append((index, RuntimeError(text)))
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return results
 
 
-def _work(fn, keys, take, write):
+def _work(fn, keys, take, write, mask):
     """A forked worker's whole life, which ends in `os._exit`, never back in the
     caller's stack: `fn` of each key whose index it takes from the socket
     `take`, until an empty datagram or its first error, then one pickled report
-    on the pipe `write`, its (index, pickled result) pairs and its (index,
-    error) or None.  It ignores SIGINT, which the caller handles, and dies of
-    SIGTERM."""
+    on the pipe `write`, its (index, pickled result) pairs and its error as
+    (index, pickled error or None, "type: message"), or None.  It ignores
+    SIGINT, which the caller handles, and dies of SIGTERM; the caller's signal
+    `mask`, held across the fork, returns once both are set."""
     import signal
 
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         done, failure = [], None
         while failure is None and (index := take.recv(8)):
             index = int.from_bytes(index, "little")
             try:
                 done.append((index, pickle.dumps(fn(keys[index]))))
             except Exception as error:  # raised again in the caller, for the lowest failing key
-                failure = (index, error)
+                try:
+                    pickled = pickle.dumps(error)
+                except Exception:
+                    pickled = None
+                failure = (index, pickled, f"{type(error).__name__}: {error}")
         with open(write, "wb") as out:
             pickle.dump((done, failure), out)
         code = 0

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK_DRAWS = 8192  # draws per rng.random call of the batched samplers
-_GROUP_ROWS = 2**11  # ball counts per EmpBox search table: 64 - 53 bits index a row in its group
 
 
 @dataclass(frozen=True)
@@ -129,32 +128,24 @@ def sample_empbox(spec: OccupancySpec, rng: np.random.Generator) -> int:
     return c - 1 - int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
-def _cdf_table(counts: np.ndarray, boxes: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _cdf_table(counts: np.ndarray, boxes: int) -> tuple[np.ndarray, np.ndarray]:
     """The CDFs of the distinct boxes hit at the ascending ball counts `counts`,
-    each divided by its last entry, as search keys (table, shift, bounds).
-
-    Row k keeps its entries strictly between 0 and 1, each as the uint64 key
-    (k mod _GROUP_ROWS) << 53 | ceil(CDF 2**53), exact since CDF 2**53 < 2**53
-    is the entry scaled by a power of two.  The rows come in groups of
-    _GROUP_ROWS, group g's keys ascending in table[bounds[g]:bounds[g + 1]];
-    shift[k] is the position of row k's first key in its group less its
-    number of entries equal to 0."""
-    parts, shift, bounds = [], np.empty(counts.size, dtype=np.int64), []
+    each divided by its last entry, as (table, shift): the entries strictly
+    between 0 and 1 of row k, as complex numbers k + i CDF, and shift[k], the
+    position of row k in the table less its number of entries equal to 0."""
+    parts, shift = [], np.empty(counts.size, dtype=np.int64)
     start = 0
     for k, (pmf, cdf) in enumerate(_distinct_pmfs(counts, boxes)):
-        if k % _GROUP_ROWS == 0:
-            bounds.append(start)
         np.cumsum(pmf, out=cdf)
         cdf /= cdf[-1]
         lo, hi = np.searchsorted(cdf, 0.0, side="right"), np.searchsorted(cdf, 1.0)
-        inside = cdf[lo:hi]
-        inside *= 2.0**53
-        part = np.ceil(inside, out=inside).astype(np.uint64)
-        part |= np.uint64(k % _GROUP_ROWS << 53)
-        parts.append(part)
-        shift[k] = start - bounds[-1] - lo
+        parts.append(cdf[lo:hi].copy())
+        shift[k] = start - lo
         start += hi - lo
-    return np.concatenate(parts), shift, bounds + [start]
+    table = np.empty(start, dtype=np.complex128)
+    table.real = np.repeat(np.arange(counts.size), [part.size for part in parts])
+    table.imag = np.concatenate(parts)
+    return table, shift
 
 
 def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,22 +156,19 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
     boxes hit by balls[j] balls.  Each CDF is divided by its last entry, so
     D <= balls[j], D >= 1 for balls[j] >= 1, and zero balls give boxes.
 
-    The CDFs of the distinct ball counts are tabled once as integer keys
-    (`_cdf_table`).  Every u is at or above the entries equal to 0 and below
-    those equal to 1, so only the rest are searched.  ``rng.random`` returns
-    multiples of 2**-53, so u 2**53 is an integer below 2**53 and the test
-    ceil(CDF 2**53) <= u 2**53 is exactly CDF <= u: one ``searchsorted`` of
-    (k mod _GROUP_ROWS) << 53 | u 2**53 in the keys of row k's group finds
-    each draw's D within its row k, whatever the draw's group.  The doubles
-    are drawn in blocks of _BLOCK_DRAWS, which give the doubles of one call,
-    so the stream is one double per draw.  Memory per call, so per worker, is
-    the int64 result, one block, the 8-byte keys, the row index of each ball
-    count, and the recursion's four vectors of min(max balls, boxes) + 1
-    doubles; the result has the shape of `balls`.  Time is
-    O(max balls * min(max balls, boxes)) recursion steps, a few numpy calls
-    each, plus one search per draw: callers with few draws of many balls into
-    many boxes want `sample_empbox` (one draw of 1e5 balls into 1e5 boxes took
-    24 s on a 2-core x86_64 VM, against a millisecond thrown).
+    The CDFs of the distinct ball counts are tabled once (`_cdf_table`).  Every
+    u is at or above the entries equal to 0 and below those equal to 1, so only
+    the rest are searched.  numpy orders complex numbers by real part, then
+    imaginary part, so one ``searchsorted`` of k + i u over the rows k + i CDF
+    finds each draw's D within its own row k.  The doubles are drawn in blocks
+    of _BLOCK_DRAWS, which give the doubles of one call, so the stream is one
+    double per draw.  Memory per call, so per thread, is the int64 result, one
+    block, the table, and the recursion's four vectors of
+    min(max balls, boxes) + 1 doubles; the result has the shape of `balls`.
+    Time is O(max balls * min(max balls, boxes)) recursion steps, a few numpy
+    calls each, plus one search per draw: callers with few draws of many
+    balls into many boxes want `sample_empbox` (one draw of 1e5 balls into
+    1e5 boxes took 24 s on a 2-core x86_64 VM, against a millisecond thrown).
     """
     balls = np.asarray(balls, dtype=np.int64)
     if boxes < 1:
@@ -193,20 +181,16 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
         raise ValueError("balls must be >= 0")
     present = np.zeros(int(flat.max()) + 1, dtype=bool)
     present[flat] = True
-    table, shift, bounds = _cdf_table(np.flatnonzero(present), boxes)
+    table, shift = _cdf_table(np.flatnonzero(present), boxes)
     shift += boxes
     row_of = np.cumsum(present)
     row_of -= 1
     for first in range(0, flat.size, _BLOCK_DRAWS):
         block = flat[first:first + _BLOCK_DRAWS]
-        row = row_of[block]
-        key = (rng.random(block.size) * 2.0**53).astype(np.uint64)
-        key |= row.view(np.uint64) << np.uint64(53)  # keeps row mod 2**11, its index in its group
-        low, high = int(row.min()) // _GROUP_ROWS, int(row.max()) // _GROUP_ROWS
-        done = out[first:first + block.size]
-        for g in range(low, high + 1):
-            at = slice(None) if low == high else row // _GROUP_ROWS == g
-            done[at] = shift[row[at]] - table[bounds[g]:bounds[g + 1]].searchsorted(key[at], side="right")
+        key = np.empty(block.size, dtype=np.complex128)
+        key.imag = rng.random(block.size)
+        key.real = row = row_of[block]
+        np.subtract(shift[row], table.searchsorted(key, side="right"), out=out[first:first + block.size])
     return out.reshape(balls.shape)
 
 

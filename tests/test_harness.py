@@ -417,6 +417,11 @@ class TestReplications:
         assert np.array_equal(a, b)
 
 
+class _TwoArgumentError(Exception):
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
 class TestMapInOrder:
     """The one driver, `harness._map_in_order`, on forked workers (2 usable CPUs)."""
 
@@ -504,6 +509,85 @@ class TestMapInOrder:
         with pytest.raises(TypeError, match="cannot pickle"):
             harness._map_in_order(lambda k: threading.Lock() if k == 4 else k, range(6), True)
         self.assert_reaped(forked)
+
+    def test_error_that_cannot_be_pickled_raises_its_name(self, forked):
+        def fn(key):
+            if key == 4:
+                raise ValueError(threading.Lock())
+            return key
+
+        with pytest.raises(RuntimeError, match="^ValueError: <unlocked _thread.lock object"):
+            harness._map_in_order(fn, range(6), True)
+        self.assert_reaped(forked)
+
+    def test_error_that_cannot_be_rebuilt_raises_its_name(self, forked):
+        # It pickles, but unpickling calls _TwoArgumentError("x") and fails.
+        def fn(key):
+            if key == 4:
+                raise _TwoArgumentError("x", 1)
+            return key
+
+        with pytest.raises(RuntimeError, match="^_TwoArgumentError: x$"):
+            harness._map_in_order(fn, range(6), True)
+        self.assert_reaped(forked)
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+    def test_signal_at_fork_waits_for_the_workers_handlers(self, monkeypatch, signum):
+        # A worker signalled as soon as it is forked holds the signal until its
+        # own handlers are set: it then ignores SIGINT and dies of SIGTERM.  Had
+        # the signal reached the caller's handlers, the worker would leave
+        # through os._exit(99) instead.
+        pids, fork = [], os.fork
+
+        def spy():
+            pid = fork()
+            if pid == 0:
+                try:
+                    os.kill(os.getpid(), signum)
+                    time.sleep(0.05)
+                except BaseException:
+                    os._exit(99)
+            else:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        if signum == signal.SIGINT:
+            assert harness._map_in_order(lambda k: k, range(6), True) == list(range(6))
+        else:
+            with pytest.raises(ChildProcessError, match=f"exited with code {-signum} without"):
+                harness._map_in_order(lambda k: k, range(6), True)
+        self.assert_reaped(pids)
+
+    def test_sigterm_at_fork_ends_the_worker_just_forked(self, monkeypatch):
+        # A SIGTERM to the caller right after a fork returns waits until the
+        # worker's pid is kept, so that worker is ended and reaped too.
+        pids, fork = [], os.fork
+
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                os.kill(os.getpid(), signal.SIGTERM)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        with pytest.raises(SystemExit) as info:
+            harness._map_in_order(lambda k: time.sleep(10), range(4), True)
+        assert info.value.code == 128 + signal.SIGTERM
+        assert len(pids) == 1
+        self.assert_reaped(pids)
+
+    def test_workers_and_caller_keep_the_callers_signal_mask(self):
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGUSR1})
+        try:
+            results = harness._map_in_order(
+                lambda k: signal.pthread_sigmask(signal.SIG_BLOCK, set()), range(4), True
+            )
+            assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == mask | {signal.SIGUSR1}
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        assert results == [mask | {signal.SIGUSR1}] * 4
 
     def test_workers_inherit_the_task_and_leave_ctrl_c_to_the_parent(self):
         results = harness._map_in_order(

@@ -332,10 +332,10 @@ class TestEmpboxCount:
                 cdf = np.cumsum(empbox_pmf(OccupancySpec(b, boxes))[::-1])
                 assert x == boxes - np.searchsorted(cdf / cdf[-1], u, side="right")
 
-    def test_more_ball_counts_than_a_key_indexes(self):
-        # Ball counts 0..3000, 3001 rows, more than the 2**11 of one search
-        # table: each draw is still the exact law's inverse CDF at its own
-        # double, and the call takes one double per draw.
+    def test_thousands_of_ball_counts_exact(self):
+        # Ball counts 0..3000, 3001 rows of one search table: each draw is the
+        # exact law's inverse CDF at its own double, and the call takes one
+        # double per draw.
         balls, boxes = np.arange(3001), 13
         rng, ref = np.random.default_rng(17), np.random.default_rng(17)
         out = sample_empbox_batch(balls, boxes, rng)
