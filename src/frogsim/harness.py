@@ -4,7 +4,8 @@ Experiment kinds:
   lln     sup-over-time max-norm deviation between scaled chain and orbit
   final   final unvisited fraction and absorption time
   phase   mean visited fraction across a p grid (geometric), runs capped
-  moments Monte Carlo one-step moments vs the analytic oracles (z-scores)
+  moments Monte Carlo one-step moments vs the analytic oracles (z-scores; nan
+          where a constant sample hides the spread of a law not degenerate)
   fig1    closed-form limit curve p -> iota_infinity(p)
   fig3    nongeometric long-run unvisited fraction vs N
   peak    nongeometric active-fraction peak index vs N
@@ -24,8 +25,8 @@ loop.  Only key indices go to the workers and only results come back; `fn`
 itself, a closure, is inherited through the fork.  Without `os.fork`, or while
 another thread runs, the work runs in the plain loop.  Workers pay only where
 a call's work is long beside forking, handing out and reaping them, about
-4 ms per call on two workers.  A SIGTERM during a call ends its workers and
-then exits 143.  Each caller decides from its input, never from the CPU count:
+3.5 ms per call on two workers (2-core x86_64 VM).  A SIGTERM during a call
+ends its workers and then exits 143.  Each caller decides from its input, never from the CPU count:
   lln, final and phase  a cell's replications (`_replicate`), at N >= _PARALLEL_MIN_N
   moments               the panel cells, always; a cell's samples are drawn and
                         reduced to its z rows in its own task, so only one cell
@@ -186,26 +187,31 @@ def _on_workers(fn, keys, workers: int) -> list:
     """`fn(key)` for each key, in key order, on `workers` forked processes,
     every one of them ended and reaped before the call returns or raises.
 
-    The workers take key indices one at a time from one datagram socket, an
-    8-byte index per datagram, so each index reaches exactly one worker whole;
-    `workers` empty datagrams stop them.  Each worker reports on its own pipe
-    (`_work`).  The error of the lowest failing key is raised again here, as
-    a RuntimeError with its type's name and message if it cannot be sent
-    back, and a worker that ends without its report raises
-    `ChildProcessError`.  A SIGTERM during the call ends the workers, then
-    exits 128 + 15; the caller's handler is back when the call ends.  SIGINT
-    and SIGTERM are held across each fork, so neither reaches a worker before
-    its own handlers are set, nor this process before it has the worker's pid.
+    The key indices, 8 bytes each, go to one unlinked file before the first
+    fork, and the workers read them in turn from the file descriptor they
+    share: a read of a regular file moves the shared offset under a lock, so
+    each index reaches exactly one worker, and its end means the keys are all
+    taken.  Each worker reports on its own pipe (`_work`), and this process
+    reads the pipes to their ends one after another; a worker waits only for
+    its own pipe to be read, so no order of reading can deadlock.  The error
+    of the lowest failing key is raised again here, as a RuntimeError with its
+    type's name and message if it cannot be sent back, and a worker that ends
+    without its report raises `ChildProcessError`.  A SIGTERM during the call
+    ends the workers, then exits 128 + 15; the caller's handler is back when
+    the call ends.  SIGINT and SIGTERM are held across each fork, so neither
+    reaches a worker before its own handlers are set, nor this process before
+    it has the worker's pid.
     """
-    import select  # lazy, as signal and socket: keeps CLI start-up short
-    import signal
-    import socket
+    import signal  # lazy, as tempfile: keeps CLI start-up short
+    import tempfile
 
     held = {signal.SIGINT, signal.SIGTERM}
-    hand_out, take = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+    hand_out = tempfile.TemporaryFile(buffering=0)
     owner, reports = {}, {}  # a pipe's read end -> its worker's pid -> its report
     previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
     try:
+        hand_out.write(np.arange(len(keys), dtype="<i8").tobytes())
+        hand_out.seek(0)
         for _ in range(workers):
             read, write = os.pipe()
             owner[read] = None  # so the finally closes it even if the fork fails
@@ -213,32 +219,14 @@ def _on_workers(fn, keys, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, keys, take, write, mask)
+                    _work(fn, keys, hand_out.fileno(), write, mask)
                 owner[read], reports[pid] = pid, bytearray()
             finally:
                 os.close(write)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        hand_out.setblocking(False)
-        poller, sent = select.poll(), 0
-        poller.register(hand_out, select.POLLOUT)
-        for read in owner:
-            poller.register(read, select.POLLIN)
-        reading = set(owner)
-        while reading:
-            for fd, _ in poller.poll():
-                if fd == hand_out.fileno():
-                    try:
-                        while sent < len(keys) + workers:
-                            hand_out.send(sent.to_bytes(8, "little") if sent < len(keys) else b"")
-                            sent += 1
-                        poller.unregister(fd)
-                    except BlockingIOError:  # the queue is full until a worker takes an index
-                        pass
-                elif chunk := os.read(fd, 1 << 16):
-                    reports[owner[fd]] += chunk
-                else:
-                    poller.unregister(fd)
-                    reading.remove(fd)
+        for read, pid in owner.items():
+            while chunk := os.read(read, 1 << 16):
+                reports[pid] += chunk
     except BaseException:
         for pid in reports:
             os.kill(pid, signal.SIGTERM)
@@ -249,7 +237,6 @@ def _on_workers(fn, keys, workers: int) -> list:
         for fd in owner:
             os.close(fd)
         hand_out.close()
-        take.close()
     results, failures = [None] * len(keys), []
     for pid, report in reports.items():
         if codes[pid] or not report:
@@ -272,12 +259,13 @@ def _on_workers(fn, keys, workers: int) -> list:
 
 def _work(fn, keys, take, write, mask):
     """A forked worker's whole life, which ends in `os._exit`, never back in the
-    caller's stack: `fn` of each key whose index it takes from the socket
-    `take`, until an empty datagram or its first error, then one pickled report
-    on the pipe `write`, its (index, pickled result) pairs and its error as
-    (index, pickled error or None, "type: message"), or None.  It ignores
-    SIGINT, which the caller handles, and dies of SIGTERM; the caller's signal
-    `mask`, held across the fork, returns once both are set."""
+    caller's stack: `fn` of each key whose 8-byte index it reads from the
+    shared file descriptor `take`, until the file's end or its first error,
+    then one pickled report on the pipe `write`, its (index, pickled result)
+    pairs and its error as (index, pickled error or None, "type: message"),
+    or None.  It ignores SIGINT, which the caller handles, and dies of SIGTERM;
+    the caller's signal `mask`, held across the fork, returns once both are
+    set."""
     import signal
 
     code = 1
@@ -286,7 +274,7 @@ def _work(fn, keys, take, write, mask):
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         done, failure = [], None
-        while failure is None and (index := take.recv(8)):
+        while failure is None and (index := os.read(take, 8)):
             index = int.from_bytes(index, "little")
             try:
                 done.append((index, pickle.dumps(fn(keys[index]))))
@@ -408,9 +396,13 @@ def one_step_samples(
     )[:3]
 
 
-def _z(estimate: float, se: float, theory: float, tol: float) -> float:
-    """(estimate - theory) / se; a degenerate draw (se = 0) must agree within tol, z := 0."""
+def _z(estimate: float, se: float, theory: float, tol: float, degenerate: bool) -> float:
+    """(estimate - theory) / se.  A constant sample (se = 0) of a `degenerate`
+    law gives 0 if it agrees within tol, else inf; of any other law, nan
+    (undetermined: its spread is not seen)."""
     if se == 0.0:
+        if not degenerate:
+            return float("nan")
         return 0.0 if abs(estimate - theory) <= tol else float("inf")
     return float((estimate - theory) / se)
 
@@ -481,8 +473,10 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
         rows = []
         for comp, x, (e_th, v_th) in zip(("unvisited", "active", "dead"), samples, analytic):
             tol = 1e-9 * max(1.0, abs(e_th))
+            degenerate = abs(v_th) <= tol  # chain.moments leaves ~1e-16 where exact Var is 0
             (mean, se_mean), (var, se_var) = _moment_estimates(x)
-            rows.append(head + [comp, _z(mean, se_mean, e_th, tol), _z(var, se_var, v_th, tol)])
+            z_mean, z_var = _z(mean, se_mean, e_th, tol, degenerate), _z(var, se_var, v_th, tol, degenerate)
+            rows.append(head + [comp, z_mean, z_var])
         return rows
 
     per_cell = _map_in_order(cell_rows, range(len(panel)), True)

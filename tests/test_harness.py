@@ -129,9 +129,9 @@ class TestSerialization:
         assert payload["config"]["kind"] == "fig1"
         assert len(payload["rows"]) == 2
 
-    def test_json_is_strict_with_infinite_z(self, tmp_path):
+    def test_json_is_strict_with_non_finite_z(self, tmp_path):
         # At p = 0.999 some audit cells draw 400 equal values of a law that is
-        # not degenerate; their se is 0, so z is inf, written as "inf" in both formats.
+        # not degenerate; their se is 0, so z is nan, written as "nan" in both formats.
         argv = ["experiment", "--kind", "moments", "--model", "geom", "--p", "0.999",
                 "--reps", "400", "--seed", "0"]
         assert main(argv + ["--format", "json", "--out", str(tmp_path / "z.json")]) == 0
@@ -144,7 +144,7 @@ class TestSerialization:
         lines = (tmp_path / "z.csv").read_text().splitlines()
         columns = lines[2].split(",")
         assert [[format_value(row[c]) for c in columns] for row in rows] == [line.split(",") for line in lines[3:]]
-        assert sum(row[z] == "inf" for row in rows for z in ("z_mean", "z_var")) == 42
+        assert sum(row[z] == "nan" for row in rows for z in ("z_mean", "z_var")) == 42
 
     def test_csv_carries_seed_and_config(self):
         text = summary_to_csv(self.make_summary())
@@ -319,6 +319,33 @@ class TestMomentAudit:
             if d["active"] == 0:
                 assert d["z_mean"] == 0.0 and d["z_var"] == 0.0
 
+    def test_constant_sample_of_a_law_that_is_not_degenerate_is_undetermined(self):
+        # At N = 3, p = 0.999, state (I, A, D) = (0, 2, 2): I' = 0 always, but
+        # A' = X ~ Bin(2, p), with Var 2p(1 - p) ~ 0.002, and D' = 4 - X.  All
+        # 400 draws of this cell at seed 0 are X = 2, so the spread of A' and D'
+        # is not seen: their z is nan, not inf.  I' is degenerate and agrees: 0.
+        cfg = ExperimentConfig(kind="moments", model="geometric", p_values=(0.999,), replications=400, seed=0)
+        panel = moment_panel(cfg, replication_rng(0, 999))
+        cell = panel.index((ChainState(0, 2, 2), ModelParams(3, "geometric", 0.999)))
+        samples = one_step_samples(*panel[cell], cfg.replications, replication_rng(0, cell, 0))
+        assert [set(x.tolist()) for x in samples] == [{0}, {2}, {2}]
+        s = moment_audit(cfg)
+        z = {r[6]: r[7:] for r in s.rows if r[1:6] == [3, 0.999, 0, 2, 2]}
+        assert z["unvisited"] == [0.0, 0.0]
+        assert all(math.isnan(v) for v in z["active"] + z["dead"])
+
+    def test_audit_finds_a_biased_sampler(self, monkeypatch):
+        # The geometric X drawn at 1.01 p in place of p: at 20,000 draws the
+        # audit must flag it, with some |z| > 5 (unbiased, the largest is 2.8).
+        # The workers are forked, so they draw with the biased sampler too.
+        real = harness.sample_binomial_batch
+        monkeypatch.setattr(harness, "sample_binomial_batch",
+                            lambda n, q, draws, rng: real(n, q * 1.01, draws, rng))
+        cfg = ExperimentConfig(kind="moments", model="geometric", p_values=(0.5,), replications=20_000, seed=2718)
+        z = [abs(v) for row in moment_audit(cfg).rows for v in row[7:]]
+        assert all(map(math.isfinite, z))
+        assert max(z) > 5
+
     def test_threaded_peak_memory_one_cell_per_worker(self, monkeypatch):
         # A process reduces its cell's samples to z rows before it takes the
         # next cell, so its peak holds one cell, never the 54-cell panel: in
@@ -462,6 +489,27 @@ class TestMapInOrder:
         results = harness._map_in_order(lambda k: (k, os.getpid()), keys, True)
         assert [k for k, _ in results] == list(keys)
         assert {pid for _, pid in results} <= set(forked)
+        self.assert_reaped(forked)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_key_runs_exactly_once(self, tmp_path, monkeypatch, forked, workers):
+        # Every call appends its key, 8 bytes in one write, to a file opened
+        # with O_APPEND, so the file lists each call that ran, in any worker.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+        ran = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def fn(key):
+            os.write(ran, key.to_bytes(8, "little"))
+            return key
+
+        try:
+            results = harness._map_in_order(fn, range(20_000), True)
+        finally:
+            os.close(ran)
+        calls = np.frombuffer((tmp_path / "ran").read_bytes(), dtype="<i8")
+        assert np.array_equal(np.sort(calls), np.arange(20_000))
+        assert results == list(range(20_000))
+        assert len(forked) == workers
         self.assert_reaped(forked)
 
     def test_worker_error_reraised_no_worker_left(self, forked):
