@@ -4,8 +4,8 @@ Experiment kinds:
   lln     sup-over-time max-norm deviation between scaled chain and orbit
   final   final unvisited fraction and absorption time
   phase   mean visited fraction across a p grid (geometric), runs capped
-  moments Monte Carlo one-step moments vs the analytic oracles (z-scores; nan
-          where a constant sample hides the spread of a law not degenerate)
+  moments Monte Carlo one-step moments vs the analytic oracles (z-scores; z_mean
+          against the oracle's standard error, z_var nan if a constant sample hides a spread)
   fig1    closed-form limit curve p -> iota_infinity(p)
   fig3    nongeometric long-run unvisited fraction vs N
   peak    nongeometric active-fraction peak index vs N
@@ -20,14 +20,14 @@ rep)`, so output files are byte-identical across runs.
 
 One driver, `_map_in_order`, runs every stochastic kind's independent work:
 `fn(key)` for each key, in key order, on one forked worker process per usable
-CPU (the affinity mask, so `taskset` limits them) when asked, else in a plain
-loop.  Only key indices go to the workers and only results come back; `fn`
-itself, a closure, is inherited through the fork.  Without `os.fork`, or while
-another thread runs, the work runs in the plain loop.  Workers pay only where
+CPU (the affinity mask, so `taskset` limits them) when asked, else lazily in
+this process.  Only key indices go to the workers and only results come back;
+`fn` itself, a closure, is inherited through the fork.  Without `os.fork`, or
+while another thread runs, the work runs in this process.  Workers pay only where
 a call's work is long beside forking, handing out and reaping them, about
 3.5 ms per call on two workers (2-core x86_64 VM).  A SIGTERM during a call
 ends its workers and then exits 143.  Each caller decides from its input, never from the CPU count:
-  lln, final and phase  a cell's replications (`_replicate`), at N >= _PARALLEL_MIN_N
+  lln, final and phase  a cell's replications, one array per cell (`_replicate`), at N >= _PARALLEL_MIN_N
   moments               the panel cells, always; a cell's samples are drawn and
                         reduced to its z rows in its own task, so only one cell
                         per worker is in memory
@@ -158,9 +158,8 @@ def _finish(cfg, columns, rows) -> RunSummary:
     return RunSummary(columns=columns, rows=rows, config=asdict(cfg), metadata=metadata)
 
 
-def _spread(values) -> list[float]:
-    """Mean, sd (ddof=1) and the 5/50/95% quantiles of one cell's replications."""
-    x = np.asarray(values, dtype=float)
+def _spread(x: np.ndarray) -> list[float]:
+    """Mean, sd (ddof=1) and the 5/50/95% quantiles of one cell's replications, a float64 array."""
     return [float(x.mean()), float(x.std(ddof=1)), *map(float, np.quantile(x, [0.05, 0.5, 0.95]))]
 
 
@@ -169,18 +168,18 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map_in_order(fn, keys, parallel: bool) -> list:
+def _map_in_order(fn, keys, parallel: bool):
     """`fn(key)` for each key of the sequence `keys`, in key order.
 
-    With `parallel`, on min(usable CPUs, len(keys)) forked worker processes
-    (`_on_workers`); otherwise, with one CPU, without `os.fork`, or while
-    another thread runs (a fork copies only this thread, and a lock another
-    one holds stays held in the worker), in a plain loop in this process.
+    With `parallel`, a list from min(usable CPUs, len(keys)) forked worker processes
+    (`_on_workers`); otherwise, with one CPU, without `os.fork`, or while another
+    thread runs (a fork copies only this thread, and a lock another one holds stays
+    held in the worker), an iterator that calls `fn` here as each result is taken.
     """
     workers = min(_usable_cpus(), len(keys)) if parallel else 1
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         return _on_workers(fn, keys, workers)
-    return [fn(key) for key in keys]
+    return map(fn, keys)
 
 
 def _on_workers(fn, keys, workers: int) -> list:
@@ -291,20 +290,27 @@ def _work(fn, keys, take, write, mask):
         os._exit(code)
 
 
-def _replicate(cfg: ExperimentConfig, cell: int, n: int, fn) -> list:
-    """`fn(rng)` for each replication of `cell`, in rep order; on workers at N >= _PARALLEL_MIN_N."""
-    return _map_in_order(
+def _replicate(cfg: ExperimentConfig, cell: int, n: int, fn, dtype) -> np.ndarray:
+    """`fn(rng)`, a number or a tuple of them, for each replication of `cell` in rep order, put
+    into one `dtype` array, a row per replication, as it comes; on workers at N >= _PARALLEL_MIN_N."""
+    results = _map_in_order(
         lambda rep: fn(chain.replication_rng(cfg.seed, cell, rep)),
         range(cfg.replications),
         n >= _PARALLEL_MIN_N,
     )
+    return np.fromiter(results, dtype=dtype, count=cfg.replications)
 
 
 def _absorption_runs(cfg: ExperimentConfig, cell: int, n: int, p: float):
-    """Final states of `cell`'s replications (`chain.run_to_absorption`); capped count."""
+    """Final I and t of `cell`'s replications (`chain.run_to_absorption`), int64 arrays; capped count."""
     params = chain.ModelParams(n, cfg.model, p)
-    runs = _replicate(cfg, cell, n, lambda rng: chain.run_to_absorption(params, rng))
-    return [final for final, _ in runs], sum(not absorbed for _, absorbed in runs)
+
+    def run(rng):
+        final, absorbed = chain.run_to_absorption(params, rng)
+        return final.unvisited, final.t, absorbed
+
+    i, t, absorbed = _replicate(cfg, cell, n, run, "3i8").T
+    return i, t, cfg.replications - int(absorbed.sum())
 
 
 def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
@@ -326,7 +332,7 @@ def lln_experiment(cfg: ExperimentConfig) -> RunSummary:
             counts = np.array([(s.unvisited, s.active, s.dead) for s in traj])
             return float(np.abs(counts[np.minimum(times, len(traj) - 1)] / (n + 1) - orbit).max())
 
-        rows.append([n, cfg.replications, *_spread(_replicate(cfg, cell, n, deviation))])
+        rows.append([n, cfg.replications, *_spread(_replicate(cfg, cell, n, deviation, float))])
     cols = ["n", "replications", "mean_dev", "sd_dev", "q05", "q50", "q95"]
     return _finish(cfg, cols, rows)
 
@@ -336,10 +342,8 @@ def final_fraction_experiment(cfg: ExperimentConfig) -> RunSummary:
     p = cfg.p_values[0]
     rows = []
     for cell, n in enumerate(cfg.n_values):
-        finals, capped = _absorption_runs(cfg, cell, n, p)
-        fracs = _spread([final.unvisited / (n + 1) for final in finals])
-        times = np.array([final.t for final in finals], dtype=float)
-        rows.append([n, cfg.replications, capped, *fracs, float(times.mean())])
+        unvisited, times, capped = _absorption_runs(cfg, cell, n, p)
+        rows.append([n, cfg.replications, capped, *_spread(unvisited / (n + 1)), float(times.mean())])
     cols = [
         "n",
         "replications",
@@ -362,8 +366,8 @@ def phase_sweep(cfg: ExperimentConfig) -> RunSummary:
     n = cfg.n_values[0]
     rows = []
     for cell, p in enumerate(cfg.p_values):
-        finals, capped = _absorption_runs(cfg, cell, n, p)
-        visited = _spread([(n + 1 - final.unvisited) / (n + 1) for final in finals])
+        unvisited, _, capped = _absorption_runs(cfg, cell, n, p)
+        visited = _spread((n + 1 - unvisited) / (n + 1))
         rows.append([p, n, cfg.replications, capped, *visited[:2]])
     cols = ["p", "n", "replications", "capped", "mean_visited_frac", "sd_visited_frac"]
     return _finish(cfg, cols, rows)
@@ -397,9 +401,9 @@ def one_step_samples(
 
 
 def _z(estimate: float, se: float, theory: float, tol: float, degenerate: bool) -> float:
-    """(estimate - theory) / se.  A constant sample (se = 0) of a `degenerate`
-    law gives 0 if it agrees within tol, else inf; of any other law, nan
-    (undetermined: its spread is not seen)."""
+    """(estimate - theory) / se, the mean's se being the oracle's sqrt(Var_th / n), 0 for a
+    `degenerate` law.  se = 0 of a `degenerate` law gives 0 if it agrees within tol, else inf;
+    of any other law (a constant sample's batched variance), nan: its spread is not seen."""
     if se == 0.0:
         if not degenerate:
             return float("nan")
@@ -407,9 +411,9 @@ def _z(estimate: float, se: float, theory: float, tol: float, degenerate: bool) 
     return float((estimate - theory) / se)
 
 
-def _moment_estimates(x: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(mean, its standard error) and (batched variance, its standard error) of
-    the integer draws `x`, from exact int64 power sums.
+def _moment_estimates(x: np.ndarray) -> tuple[float, tuple[float, float]]:
+    """The mean and (batched variance, its standard error) of the integer draws
+    `x`, from exact int64 power sums.
 
     A sample variance is (n sum x^2 - (sum x)^2) / (n (n - 1)), an exact
     integer over an integer, so it takes one rounding and a constant sample
@@ -418,20 +422,15 @@ def _moment_estimates(x: np.ndarray) -> tuple[tuple[float, float], tuple[float, 
     their spread: per-batch sample variances are unbiased for the true
     variance and their batch-mean is CLT-normal for any underlying law,
     unlike the fourth-moment plug-in SE, which degenerates for symmetric
-    two-point distributions.  The mean's standard error comes from the
-    variance of all the draws.  A batch's numerator stays exact while
+    two-point distributions.  A batch's numerator stays exact while
     (batch size * max x)^2 < 2**53.
     """
-    n = x.size
-    b = min(_VAR_BATCHES, n)
-    size = n // b
+    b = min(_VAR_BATCHES, x.size)
+    size = x.size // b
     batches = x[: b * size].reshape(b, size)
     s1, s2 = batches.sum(axis=1), np.einsum("ij,ij->i", batches, batches)
-    tail = x[b * size:]
-    t1, t2 = int(s1.sum()) + int(tail.sum()), int(s2.sum()) + int(tail @ tail)
-    var = (n * t2 - t1 * t1) / (n * (n - 1))
     per_batch = (size * s2 - s1 * s1) / (size * (size - 1))
-    return (t1 / n, np.sqrt(var / n)), (per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(b))
+    return int(x.sum()) / x.size, (per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(b))
 
 
 def moment_panel(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[chain.ChainState, chain.ModelParams]]:
@@ -474,7 +473,8 @@ def moment_audit(cfg: ExperimentConfig) -> RunSummary:
         for comp, x, (e_th, v_th) in zip(("unvisited", "active", "dead"), samples, analytic):
             tol = 1e-9 * max(1.0, abs(e_th))
             degenerate = abs(v_th) <= tol  # chain.moments leaves ~1e-16 where exact Var is 0
-            (mean, se_mean), (var, se_var) = _moment_estimates(x)
+            mean, (var, se_var) = _moment_estimates(x)
+            se_mean = 0.0 if degenerate else np.sqrt(v_th / x.size)  # the oracle's own
             z_mean, z_var = _z(mean, se_mean, e_th, tol, degenerate), _z(var, se_var, v_th, tol, degenerate)
             rows.append(head + [comp, z_mean, z_var])
         return rows

@@ -131,7 +131,8 @@ class TestSerialization:
 
     def test_json_is_strict_with_non_finite_z(self, tmp_path):
         # At p = 0.999 some audit cells draw 400 equal values of a law that is
-        # not degenerate; their se is 0, so z is nan, written as "nan" in both formats.
+        # not degenerate; their batched variance's se is 0, so z_var is nan,
+        # written as "nan" in both formats.  z_mean takes the oracle's se.
         argv = ["experiment", "--kind", "moments", "--model", "geom", "--p", "0.999",
                 "--reps", "400", "--seed", "0"]
         assert main(argv + ["--format", "json", "--out", str(tmp_path / "z.json")]) == 0
@@ -144,7 +145,7 @@ class TestSerialization:
         lines = (tmp_path / "z.csv").read_text().splitlines()
         columns = lines[2].split(",")
         assert [[format_value(row[c]) for c in columns] for row in rows] == [line.split(",") for line in lines[3:]]
-        assert sum(row[z] == "nan" for row in rows for z in ("z_mean", "z_var")) == 42
+        assert sum(row[z] == "nan" for row in rows for z in ("z_mean", "z_var")) == 21
 
     def test_csv_carries_seed_and_config(self):
         text = summary_to_csv(self.make_summary())
@@ -281,6 +282,14 @@ class TestFinalFraction:
         row = dict(zip(s.columns, s.rows[0]))
         assert 0.16 < row["q50"] < 0.19
 
+    def test_reports_capped_runs(self):
+        # At p = 1 no frog dies, so every run stops at the 10 N step cap.
+        cfg = ExperimentConfig(kind="final", model="geometric", p_values=(1.0,), n_values=(20, 40),
+                               replications=3, seed=1)
+        s = final_fraction_experiment(cfg)
+        rows = [dict(zip(s.columns, row)) for row in s.rows]
+        assert [(r["capped"], r["mean_absorption_time"]) for r in rows] == [(3, 200.0), (3, 400.0)]
+
 
 class TestPhaseSweep:
     def test_requires_geometric(self):
@@ -323,7 +332,9 @@ class TestMomentAudit:
         # At N = 3, p = 0.999, state (I, A, D) = (0, 2, 2): I' = 0 always, but
         # A' = X ~ Bin(2, p), with Var 2p(1 - p) ~ 0.002, and D' = 4 - X.  All
         # 400 draws of this cell at seed 0 are X = 2, so the spread of A' and D'
-        # is not seen: their z is nan, not inf.  I' is degenerate and agrees: 0.
+        # is not seen: their z_var is nan, not inf.  Their z_mean takes the
+        # oracle's se, sqrt(Var / 400): (2 - 2p) / sqrt(2p(1 - p) / 400) = 0.895
+        # for A', and -0.895 for D'.  I' is degenerate and agrees: 0.
         cfg = ExperimentConfig(kind="moments", model="geometric", p_values=(0.999,), replications=400, seed=0)
         panel = moment_panel(cfg, replication_rng(0, 999))
         cell = panel.index((ChainState(0, 2, 2), ModelParams(3, "geometric", 0.999)))
@@ -332,7 +343,9 @@ class TestMomentAudit:
         s = moment_audit(cfg)
         z = {r[6]: r[7:] for r in s.rows if r[1:6] == [3, 0.999, 0, 2, 2]}
         assert z["unvisited"] == [0.0, 0.0]
-        assert all(math.isnan(v) for v in z["active"] + z["dead"])
+        assert z["active"][0] == pytest.approx(0.895, abs=1e-3)
+        assert z["dead"][0] == pytest.approx(-0.895, abs=1e-3)
+        assert math.isnan(z["active"][1]) and math.isnan(z["dead"][1])
 
     def test_audit_finds_a_biased_sampler(self, monkeypatch):
         # The geometric X drawn at 1.01 p in place of p: at 20,000 draws the
@@ -365,11 +378,31 @@ class TestMomentAudit:
                 tracemalloc.stop()
             assert peak < 64 * draws + 20 * 2**16, workers
 
+    @pytest.mark.parametrize("kind,bound", [("final", 64), ("phase", 64), ("lln", 32)])
+    def test_peak_memory_per_replication(self, kind, bound):
+        # A replication leaves only its numbers in its cell's array: (I, t,
+        # absorbed) as 24 B for final and phase, a float as 8 B for lln.  At
+        # geometric p = 0.1, N = 10 (lln with t_max = 1), the tracemalloc peak
+        # may grow by at most `bound` bytes per replication from 2,000 to
+        # 12,000 replications (41, 45 and 16 B at seed 1).
+        def peak(replications):
+            cfg = ExperimentConfig(kind=kind, model="geometric", p_values=(0.1,), n_values=(10,),
+                                   t_max=1 if kind == "lln" else 20, replications=replications, seed=1)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)  # keeps first-call costs (imports, caches) out of the measured pair
+        assert (peak(12_000) - peak(2_000)) / 10_000 < bound
+
     @pytest.mark.parametrize("model,cell", [("geometric", 35), ("nongeometric", 38)])
     def test_integer_sums_match_two_pass(self, model, cell):
         # The audit's statistics from exact int64 power sums, at two N = 1000
         # cells, against float64 two-pass ones; 20011 draws leave 11 after the
-        # last whole batch, which count in the mean and its standard error alone.
+        # last whole batch, which count in the mean alone.
         cfg = ExperimentConfig(kind="moments", model=model, p_values=(0.5,), replications=20_011, seed=2718)
         state, params = moment_panel(cfg, replication_rng(2718, 999))[cell]
         assert params.n == 1000
@@ -378,10 +411,9 @@ class TestMomentAudit:
             y = x.astype(float)
             size = y.size // batches
             per_batch = y[: size * batches].reshape(batches, size).var(ddof=1, axis=1)
-            reference = (y.mean(), y.std(ddof=1) / np.sqrt(y.size),
-                         per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(batches))
-            (mean, se_mean), (var, se_var) = harness._moment_estimates(x)
-            assert np.allclose((mean, se_mean, var, se_var), reference, rtol=1e-12, atol=0)
+            reference = (y.mean(), per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(batches))
+            mean, (var, se_var) = harness._moment_estimates(x)
+            assert np.allclose((mean, var, se_var), reference, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("state", [ChainState(500, 300, 201), ChainState(500, 0, 501)])
     def test_nongeometric_samples_take_one_double_per_draw_each(self, state):
