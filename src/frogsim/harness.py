@@ -10,8 +10,9 @@ Experiment kinds:
   fig3    nongeometric long-run unvisited fraction vs N
   peak    nongeometric active-fraction peak index vs N
 
-`_DISPATCH` lists the inputs each kind reads and the one model of phase,
-fig1, fig3 and peak; an input its kind, or its model (the nongeometric model
+`_DISPATCH` holds each kind's whole contract: the inputs it reads, the one
+model of phase, fig1, fig3 and peak, its least replications and the grid it
+takes one value of.  An input its kind, or its model (the nongeometric model
 reads no p), does not read must keep its default; another model is rejected.
 
 Every run is identified by (config, master seed).  Replication `rep` of
@@ -75,31 +76,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        own_model = _DISPATCH[self.kind][2]
+        _, reads, own_model, least, single = _DISPATCH[self.kind]
         if self.model is None:
             object.__setattr__(self, "model", own_model or chain.NONGEOMETRIC)
         if own_model not in (None, self.model):
             raise ValueError(f"{self.kind} computes the {own_model} model, got {self.model!r}")
-        if self.kind in ("lln", "final", "phase") and self.replications < 2:
-            raise ValueError(f"{self.kind} needs replications >= 2 for its sd")
-        if self.kind == "moments" and self.replications < 2 * _VAR_BATCHES:
-            raise ValueError(
-                f"moments needs replications >= {2 * _VAR_BATCHES} "
-                f"(2 draws per variance batch), got {self.replications}"
-            )
+        if least and self.replications < least:
+            raise ValueError(f"{self.kind} needs replications >= {least}, got {self.replications}")
         if not self.p_values or not self.n_values:
             raise ValueError("p and n grids must not be empty")
-        if self.kind in ("lln", "final", "moments") and len(self.p_values) > 1:
-            raise ValueError(f"{self.kind} takes one p value, got {len(self.p_values)}")
-        if self.kind == "phase" and len(self.n_values) > 1:
-            raise ValueError(f"phase takes one n value, got {len(self.n_values)}")
+        if single and len(getattr(self, single)) > 1:
+            raise ValueError(f"{self.kind} takes one {single[0]} value, got {len(getattr(self, single))}")
         for n, p in itertools.product(self.n_values, self.p_values):
             chain.ModelParams(n, self.model, p)
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        reads = _DISPATCH[self.kind][1]
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in _KIND_INPUTS and value != f.default:
@@ -509,17 +502,18 @@ def peak_experiment(cfg: ExperimentConfig) -> RunSummary:
     return _finish(cfg, ["n", "peak_index", "pattern_ok", "completed"], rows)
 
 
-# Each kind's function, the inputs of _KIND_INPUTS it reads, and the one model
-# it computes (None: either).  Every kind reads the seed.
+# Each kind's function, the inputs of _KIND_INPUTS it reads, the one model it
+# computes (None: either), its least replications (None: it reads none) and the
+# grid it takes one value of (None: any).  Every kind reads the seed.
 _KIND_INPUTS = ("p_values", "n_values", "t_max", "replications")
 _DISPATCH = {
-    "lln": (lln_experiment, ("p_values", "n_values", "t_max", "replications"), None),
-    "final": (final_fraction_experiment, ("p_values", "n_values", "replications"), None),
-    "phase": (phase_sweep, ("p_values", "n_values", "replications"), chain.GEOMETRIC),
-    "moments": (moment_audit, ("p_values", "replications"), None),
-    "fig1": (fig1_data, ("p_values",), chain.GEOMETRIC),
-    "fig3": (fig3_data, ("n_values",), chain.NONGEOMETRIC),
-    "peak": (peak_experiment, ("n_values",), chain.NONGEOMETRIC),
+    "lln": (lln_experiment, ("p_values", "n_values", "t_max", "replications"), None, 2, "p_values"),
+    "final": (final_fraction_experiment, ("p_values", "n_values", "replications"), None, 2, "p_values"),
+    "phase": (phase_sweep, ("p_values", "n_values", "replications"), chain.GEOMETRIC, 2, "n_values"),
+    "moments": (moment_audit, ("p_values", "replications"), None, 2 * _VAR_BATCHES, "p_values"),
+    "fig1": (fig1_data, ("p_values",), chain.GEOMETRIC, None, None),
+    "fig3": (fig3_data, ("n_values",), chain.NONGEOMETRIC, None, None),
+    "peak": (peak_experiment, ("n_values",), chain.NONGEOMETRIC, None, None),
 }
 KINDS = tuple(_DISPATCH)
 

@@ -90,6 +90,10 @@ class TestConfig:
         ):
             with pytest.raises(ValueError, match=f"{kwargs['kind']} does not read"):
                 ExperimentConfig(**kwargs)
+        # A kind that reads no replications has no floor: any value but the default is unread.
+        for kind, reps in (("fig1", -1), ("fig3", 0), ("peak", 1)):
+            with pytest.raises(ValueError, match=f"^{kind} does not read replications, got {reps}$"):
+                ExperimentConfig(kind=kind, replications=reps)
         for kind in ("lln", "final", "moments"):
             assert ExperimentConfig(kind=kind, replications=400).model == "nongeometric"
             with pytest.raises(ValueError, match=r"nongeometric model does not read p_values, got \(0.3,\)"):
@@ -193,6 +197,27 @@ class TestGoldenBytes:
         "det_json": (
             ["det", "--model", "geom", "--n", "50", "--p", "0.8", "--tmax", "10", "--format", "json"],
             "98f00ba3c22a60b872de57c5ca1112c84f41ed103543a938fa22251144614db9",
+        ),
+        "moments_csv": (
+            ["experiment", "--kind", "moments", "--model", "geom", "--p", "0.5", "--reps", "400", "--seed", "3"],
+            "e1dd921a326a1aee0b40344e91a3fdec67221346f572751c4db669b521a38f78",
+        ),
+        "moments_json": (
+            ["experiment", "--kind", "moments", "--model", "nongeom", "--reps", "400", "--seed", "3",
+             "--format", "json"],
+            "83d2582efe7c3abac9ac85c7fa61c80dfe6f25e1e65d61c503c984e33ab7c0d0",
+        ),
+        "fig1": (
+            ["experiment", "--kind", "fig1", "--p", "0.3,0.6,0.9"],
+            "e97a2757ab0398c1a22a60d36b2928698468c61b033c80e5cfd82a1f20d16aac",
+        ),
+        "fig3": (
+            ["experiment", "--kind", "fig3", "--n", "100,1000"],
+            "1f73d9e7385c9bb172856dcb4d4b1db5a6c58009a5a2aea484d74478a3a877a5",
+        ),
+        "peak": (
+            ["experiment", "--kind", "peak", "--n", "100,1000"],
+            "eb59eeea8c9bf941d111fc62bf4e1054bac57468d5b7e31bedf1459ff2a3a793",
         ),
     }
 
