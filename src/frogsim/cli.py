@@ -132,8 +132,7 @@ def cmd_experiment(args) -> int:
     names = [f.name for f in dataclasses.fields(harness.ExperimentConfig)]
     fields = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if "kind" not in fields:
-        print("experiment: missing kind", file=sys.stderr)
-        return 2
+        raise ValueError("experiment needs --kind, on the command line or in --config")
     if "model" in fields:
         fields["model"] = _MODEL[fields["model"]]
     fields.setdefault("seed", _default_seed())

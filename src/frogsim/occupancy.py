@@ -10,13 +10,13 @@ Two exact samplers, one path each.  `sample_empbox`, one draw, throws the
 balls with ``rng.integers`` and counts the distinct boxes by sorting int32 keys
 (int64 above 2**31 boxes); the chains step with it.  `sample_empbox_batch`,
 many draws, inverts the law itself: one ``rng.random`` double per draw, in draw
-order, searched in the CDF of its ball count, with no balls thrown.  Both are
-exact up to float64 rounding: the pmf is within 2e-14 relative of the rational
-law, and the doubles lie on a 2**-53 grid, as with numpy's own binomial.
+order, searched in the CDF row keyed by its own ball count, no balls thrown.
+Both are exact up to float64 rounding: the pmf is within 2e-14 relative of the
+rational law, and the doubles lie on a 2**-53 grid, as with numpy's binomial.
 
 Binomials likewise: `sample_binomial`, one draw, calls numpy's; and
 `sample_binomial_batch`, many draws of one Binomial(n, q), inverts its CDF
-with a guide table, one double per draw.
+with one guide array, one double per draw.
 """
 
 from __future__ import annotations
@@ -131,19 +131,22 @@ def sample_empbox(spec: OccupancySpec, rng: np.random.Generator) -> int:
 def _cdf_table(counts: np.ndarray, boxes: int) -> tuple[np.ndarray, np.ndarray]:
     """The CDFs of the distinct boxes hit at the ascending ball counts `counts`,
     each divided by its last entry, as (table, shift): the entries strictly
-    between 0 and 1 of row k, as complex numbers k + i CDF, and shift[k], the
-    position of row k in the table less its number of entries equal to 0."""
-    parts, shift = [], np.empty(counts.size, dtype=np.int64)
-    start = 0
-    for k, (pmf, cdf) in enumerate(_distinct_pmfs(counts, boxes)):
+    between 0 and 1 of the row of b balls, as complex numbers b + i CDF, and
+    shift[b], boxes plus the position of that row in the table less its number
+    of entries equal to 0.  shift is indexed by ball count, up to counts[-1],
+    and allocated once the recursion's vectors are free."""
+    parts, starts, start = [], [], 0
+    for pmf, cdf in _distinct_pmfs(counts, boxes):
         np.cumsum(pmf, out=cdf)
         cdf /= cdf[-1]
         lo, hi = np.searchsorted(cdf, 0.0, side="right"), np.searchsorted(cdf, 1.0)
         parts.append(cdf[lo:hi].copy())
-        shift[k] = start - lo
+        starts.append(boxes + start - lo)
         start += hi - lo
+    shift = np.empty(int(counts[-1]) + 1, dtype=np.int64)
+    shift[counts] = starts
     table = np.empty(start, dtype=np.complex128)
-    table.real = np.repeat(np.arange(counts.size), [part.size for part in parts])
+    table.real = np.repeat(counts, [part.size for part in parts])
     table.imag = np.concatenate(parts)
     return table, shift
 
@@ -159,15 +162,16 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
     The CDFs of the distinct ball counts are tabled once (`_cdf_table`).  Every
     u is at or above the entries equal to 0 and below those equal to 1, so only
     the rest are searched.  numpy orders complex numbers by real part, then
-    imaginary part, so one ``searchsorted`` of k + i u over the rows k + i CDF
-    finds each draw's D within its own row k.  The doubles are drawn in blocks
+    imaginary part, so one ``searchsorted`` of b + i u over the rows b + i CDF,
+    b the draw's own ball count, finds each draw's D within its own row, and
+    shift[b] less that position is the draw.  The doubles are drawn in blocks
     of _BLOCK_DRAWS, which give the doubles of one call, so the stream is one
     double per draw.  Memory per call, so per thread, is the int64 result, one
-    block, the table, and the recursion's four vectors of
-    min(max balls, boxes) + 1 doubles; the result has the shape of `balls`.
-    Time is O(max balls * min(max balls, boxes)) recursion steps, a few numpy
-    calls each, plus one search per draw: callers with few draws of many
-    balls into many boxes want `sample_empbox` (one draw of 1e5 balls into
+    block, the table, shift's max balls + 1 words, and the recursion's four
+    vectors of min(max balls, boxes) + 1 doubles; the result has the shape of
+    `balls`.  Time is O(max balls * min(max balls, boxes)) recursion steps, a
+    few numpy calls each, plus one search per draw: callers with few draws of
+    many balls into many boxes want `sample_empbox` (one draw of 1e5 balls into
     1e5 boxes took 24 s on a 2-core x86_64 VM, against a millisecond thrown).
     """
     balls = np.asarray(balls, dtype=np.int64)
@@ -179,18 +183,13 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
         return out.reshape(balls.shape)
     if flat.min() < 0:
         raise ValueError("balls must be >= 0")
-    present = np.zeros(int(flat.max()) + 1, dtype=bool)
-    present[flat] = True
-    table, shift = _cdf_table(np.flatnonzero(present), boxes)
-    shift += boxes
-    row_of = np.cumsum(present)
-    row_of -= 1
+    table, shift = _cdf_table(np.flatnonzero(np.bincount(flat)), boxes)
     for first in range(0, flat.size, _BLOCK_DRAWS):
         block = flat[first:first + _BLOCK_DRAWS]
         key = np.empty(block.size, dtype=np.complex128)
+        key.real = block
         key.imag = rng.random(block.size)
-        key.real = row = row_of[block]
-        np.subtract(shift[row], table.searchsorted(key, side="right"), out=out[first:first + block.size])
+        np.subtract(shift[block], table.searchsorted(key, side="right"), out=out[first:first + block.size])
     return out.reshape(balls.shape)
 
 
@@ -236,12 +235,12 @@ def sample_binomial_batch(n: int, q: float, draws: int, rng: np.random.Generator
     divided by its last entry.  n = 0 and q in {0, 1} draw nothing, as
     `sample_binomial`.  The guide table (Chen & Asau 1974; Devroye 1986, III.2.4)
     splits [0, 1) into G equal buckets, G the least power of two >= max(64,
-    2(n + 1)), so u G and g / G are exact.  For bucket g = floor(u G) it holds
-    the count of entries at or below g / G, which is the answer unless an
-    entry lies strictly inside the bucket, and the count below (g + 1) / G,
-    which tells.  At most n of the G buckets hold an entry, so over half the
-    draws take two lookups; the rest take a binary search of the CDF.  The
-    doubles are drawn in blocks of _BLOCK_DRAWS.
+    2(n + 1)), so u G and g / G are exact.  One array answers bucket g =
+    floor(u G): the count of entries at or below g / G, which is the draw, or
+    -1 where an entry lies strictly inside the bucket.  At most n of the G
+    buckets hold an entry, so over half the draws take one lookup; the rest
+    take a binary search of the CDF.  The doubles are drawn in blocks of
+    _BLOCK_DRAWS.
     """
     _check_binomial(n, q)
     if n == 0 or q in (0.0, 1.0):
@@ -250,14 +249,13 @@ def sample_binomial_batch(n: int, q: float, draws: int, rng: np.random.Generator
     cdf /= cdf[-1]
     buckets = 1 << max(6, (2 * n + 1).bit_length())
     edges = np.arange(buckets + 1) / buckets
-    at_or_below = cdf.searchsorted(edges[:-1], side="right")
-    below_next = cdf.searchsorted(edges[1:])
+    guide = cdf.searchsorted(edges[:-1], side="right")
+    guide[cdf.searchsorted(edges[1:]) > guide] = -1
     out = np.empty(draws, dtype=np.int64)
     for first in range(0, draws, _BLOCK_DRAWS):
         u = rng.random(min(_BLOCK_DRAWS, draws - first))
-        g = (u * buckets).astype(np.intp)
-        x = at_or_below[g]
-        inside = np.flatnonzero(below_next[g] > x)
+        x = guide[(u * buckets).astype(np.intp)]
+        inside = np.flatnonzero(x < 0)
         x[inside] = cdf.searchsorted(u[inside], side="right")
         out[first:first + u.size] = x
     return out

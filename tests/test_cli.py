@@ -174,8 +174,22 @@ class TestSimulate:
         run_cli(*args, "--out", str(b), "--seed", "77")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_tmax_exit_2(self):
+        res = run_cli("simulate", "--model", "geom", "--n", "5", "--p", "0.5", "--tmax", "-1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: t_max must be >= 0"]
+
 
 class TestDet:
+    def test_unwritable_out_exit_1(self, tmp_path):
+        res = run_cli("det", "--model", "nongeom", "--n", "10", "--tmax", "2",
+                      "--out", str(tmp_path / "missing" / "x.csv"))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("io error: ")
+
     def test_until_alpha_nongeometric(self):
         res = run_cli("det", "--model", "nongeom", "--n", "1000", "--until-alpha", "1e-12")
         assert res.returncode == 0
@@ -418,6 +432,35 @@ class TestExperiment:
         via_file = run_cli("experiment", "--config", str(cfg), "--n", "1000")
         assert via_file.returncode == 0
         assert via_file.stdout == direct.stdout
+
+    def test_config_skips_comments_and_blank_lines(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# comment\n\nkind=fig1\n")
+        via_file = run_cli("experiment", "--config", str(cfg))
+        assert via_file.returncode == 0
+        assert via_file.stdout == run_cli("experiment", "--kind", "fig1").stdout
+
+    def test_config_line_without_equals_exit_2(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kind fig1\n")
+        res = run_cli("experiment", "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: bad config line: kind fig1"]
+
+    @pytest.mark.parametrize("config", [None, "model=geom\n"], ids=["no-config", "config"])
+    def test_missing_kind_exit_2(self, tmp_path, config):
+        args = ["experiment"]
+        if config is not None:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: experiment needs --kind, on the command line or in --config"
+        ]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

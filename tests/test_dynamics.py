@@ -238,6 +238,12 @@ class TestLambertW0:
         with pytest.raises(ValueError):
             lambert_w0(-1.0)
 
+    def test_branch_point_rounding(self):
+        # One ulp below -1/e is taken as -1/e; a relative 1e-14 below is an error.
+        assert lambert_w0(math.nextafter(-1 / math.e, -math.inf)) == -1.0
+        with pytest.raises(ValueError, match="requires x >= -1/e"):
+            lambert_w0(-(1 / math.e) * (1 + 1e-14))
+
 
 def bisect_iota_inf(p, tol=1e-12):
     """Oracle: lower root of x = exp(-phi(p)(1-x)) by bisection, p > 1/2."""

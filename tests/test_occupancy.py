@@ -71,6 +71,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             OccupancySpec(2, 0)
 
+    def test_batch_zero_boxes_rejected(self):
+        with pytest.raises(ValueError, match="^boxes must be >= 1$"):
+            sample_empbox_batch([2], 0, np.random.default_rng(0))
+
+    def test_batch_negative_balls_rejected_before_counting(self):
+        # np.bincount would reject -1 too, but in numpy's words: the check runs first.
+        with pytest.raises(ValueError, match="^balls must be >= 0$"):
+            sample_empbox_batch([3, -1], 4, np.random.default_rng(0))
+
 
 class TestPmf:
     def test_zero_balls_point_mass(self):
@@ -486,7 +495,7 @@ class TestEmpboxChunks:
     @pytest.mark.parametrize("boxes", [100, 10**4])
     def test_peak_memory_same_at_64_and_4096_balls(self, boxes):
         # Only the law's recursion, four vectors of min(balls, boxes) + 1
-        # doubles, and the row index of each ball count, max balls + 1 words,
+        # doubles, and the table's shift by ball count, max balls + 1 words,
         # grow with the balls; up to 10**4 boxes, 4096 draws of 4096 balls
         # peak within 64 kB of 4096 draws of 64.
         peaks = []
