@@ -56,10 +56,12 @@ from .occupancy import sample_binomial_batch, sample_empbox_batch
 VERSION = f"frogsim-{__version__}"
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
-# The smallest N whose replications run on workers.  On forked workers, `final` and
-# `lln` of both models already ran faster on two workers than on one CPU from 2**16
-# on (2-core x86_64 VM), but `phase` cells and runs of few replications were not
-# timed there, so it stays at the value timed on threads.
+# The smallest N whose replications run on workers.  Timed on `final` with split
+# EmpBox draws (2-core x86_64 VM): 300 geometric replications ran 1.5x faster on two
+# workers than on one CPU at 2**18 and 1.7x at 1e6, but 30 nongeometric ones lost at
+# 2**18 and broke even at 1e6, and runs of 2 or 8 lost 20 to 45 ms, as each worker
+# forks and builds its own EmpBox leaf table.  No N alone serves both; the large
+# runs at 1e6 keep their workers.
 _PARALLEL_MIN_N = 2**18
 
 

@@ -6,13 +6,16 @@ count, comes from the occupancy recursion, one ball at a time, on the number
 of distinct boxes hit; its mean and variance are closed forms that keep full
 precision at any b and c.
 
-Two exact samplers, one path each.  `sample_empbox`, one draw, throws the
-balls with ``rng.integers`` and counts the distinct boxes by sorting int32 keys
-(int64 above 2**31 boxes); the chains step with it.  `sample_empbox_batch`,
-many draws, inverts the law itself: one ``rng.random`` double per draw, in draw
-order, searched in the CDF row keyed by its own ball count, no balls thrown.
-Both are exact up to float64 rounding: the pmf is within 2e-14 relative of the
-rational law, and the doubles lie on a 2**-53 grid, as with numpy's binomial.
+Two exact samplers.  `sample_empbox`, one draw, is the chains' step.  Few
+balls it throws with ``rng.integers``, and counts the distinct boxes by sorting
+int32 keys (int64 above 2**31 boxes).  Many balls it splits over leaves of
+_LEAF boxes: one multinomial draw gives each leaf its balls, and one double
+each its empty boxes, searched in a table of the leaf's law that the process
+keeps.  `sample_empbox_batch`, many draws, inverts the law the same way: one
+``rng.random`` double per draw, in draw order, searched in the CDF row keyed
+by its own ball count, no balls thrown.  Both are exact up to float64
+rounding: the pmf is within 2e-14 relative of the rational law, and the
+doubles lie on a 2**-53 grid, as with numpy's binomial.
 
 Binomials likewise: `sample_binomial`, one draw, calls numpy's; and
 `sample_binomial_batch`, many draws of one Binomial(n, q), inverts its CDF
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK_DRAWS = 8192  # draws per rng.random call of the batched samplers
+_LEAF = 1024  # boxes per leaf of a split EmpBox draw (`sample_empbox`)
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,79 @@ def empbox_variance(spec: OccupancySpec) -> float:
 
 
 def sample_empbox(spec: OccupancySpec, rng: np.random.Generator) -> int:
-    """One exact draw from EmpBox(b, c): b uniform boxes, distinct ones counted by sort."""
+    """One exact draw from EmpBox(b, c), b = spec.balls balls into c = spec.boxes boxes.
+
+    Few balls are thrown (`_throw`).  Many balls, from 32 per leaf plus 2048
+    up to one per box of the leaves, split the c boxes into L = c // _LEAF
+    leaves of _LEAF boxes and a remainder (`_split_empties`), where that was
+    the cheaper: per draw on a 2-core x86_64 VM the thrower took about 5 us +
+    6.5 ns per ball and the split 15 us + 0.2 us per leaf, so (b, c) =
+    (1.3e5, 6e5) took 0.16 ms split against 0.85 ms thrown.  Given the balls
+    of each group of boxes, the groups fill independently (Johnson & Kotz,
+    Urn Models, 1977), so both are exact up to float64 rounding.  Beside the
+    leaf table's 2e-14, the split's leaf counts come from numpy's multinomial,
+    which gives leaf j the probability (1/L) / remaining_p, remaining_p being
+    1 less j terms 1/L subtracted one at a time: it stays within L 2**-53 of
+    (L - j) / L, so the probability within L**2 2**-54 relative of 1 / (L - j),
+    6e-11 at c = 1e6.
+    """
     b, c = spec.balls, spec.boxes
+    leaves = c // _LEAF
+    if 32 * leaves + 2048 <= b <= _LEAF * leaves:
+        return _split_empties(b, c, _LEAF, rng)
+    return _throw(b, c, rng)
+
+
+def _throw(b: int, c: int, rng: np.random.Generator) -> int:
+    """c less the distinct boxes hit by b balls thrown with ``rng.integers``,
+    counted by sorting int32 keys (int64 above 2**31 boxes)."""
     if b == 0:
         return c
     keys = rng.integers(0, c, size=b, dtype=np.int32 if c <= 2**31 else np.int64)
     keys.sort()
     return c - 1 - int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _split_empties(b: int, c: int, leaf: int, rng: np.random.Generator) -> int:
+    """One EmpBox(b, c) draw over L = c // leaf leaves of `leaf` boxes and the
+    rest = c - L leaf boxes after them.
+
+    The rest gets r ~ Binomial(b, rest / c) balls, thrown.  The leaves' counts
+    are one Multinomial(b - r, 1/L each), and each leaf's empty boxes are one
+    double searched in the row of its count in the leaf's table
+    (`_leaf_table`); a leaf of more than 2 leaf balls, past the table's last
+    row, throws them.  The draws, in order: the binomial (none if rest = 0),
+    the rest's balls, the multinomial, L doubles, and the balls of each leaf
+    past the table.  Memory is a few words per leaf beside the table.
+    """
+    leaves, rest = divmod(c, leaf)
+    r = int(rng.binomial(b, rest / c)) if rest else 0
+    empty = _throw(r, rest, rng)
+    counts = rng.multinomial(b - r, np.full(leaves, 1.0 / leaves))
+    u = rng.random(leaves)
+    for j in np.flatnonzero(counts > 2 * leaf).tolist():
+        empty += _throw(int(counts[j]), leaf, rng) - leaf
+        counts[j] = 0  # searched as an empty leaf: leaf empty boxes
+    table, shift = _leaf_table(leaf, int(counts.max()))
+    return empty + int(_invert(table, shift, counts, u).sum())
+
+
+_leaf_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # leaf boxes -> its `_cdf_table`
+
+
+def _leaf_table(leaf: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_cdf_table` of 0, 1, ... balls into `leaf` boxes, with a row for `rows`
+    balls, at most 2 leaf.  One table per leaf size lives for the process; it
+    is rebuilt, with the least power of two (at least 64) rows that holds
+    `rows`, only when a draw needs more.  Row k does not depend on the rows
+    after it, so a draw is the same from any table that holds its row: at
+    2048 rows of 1024 boxes it took 12.6 MB and 51 ms to build.
+    """
+    cached = _leaf_tables.get(leaf)
+    if cached is None or cached[1].size <= rows:
+        size = min(2 * leaf, max(64, 1 << (rows - 1).bit_length()))
+        cached = _leaf_tables[leaf] = _cdf_table(np.arange(size + 1), leaf)
+    return cached
 
 
 def _cdf_table(counts: np.ndarray, boxes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,11 +256,17 @@ def sample_empbox_batch(balls: np.ndarray, boxes: int, rng: np.random.Generator)
     table, shift = _cdf_table(np.flatnonzero(np.bincount(flat)), boxes)
     for first in range(0, flat.size, _BLOCK_DRAWS):
         block = flat[first:first + _BLOCK_DRAWS]
-        key = np.empty(block.size, dtype=np.complex128)
-        key.real = block
-        key.imag = rng.random(block.size)
-        np.subtract(shift[block], table.searchsorted(key, side="right"), out=out[first:first + block.size])
+        _invert(table, shift, block, rng.random(block.size), out=out[first:first + block.size])
     return out.reshape(balls.shape)
+
+
+def _invert(table: np.ndarray, shift: np.ndarray, balls: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+    """shift[b] less the position of b + i u in `table`, for each ball count b
+    and its double u: the draws of a `_cdf_table`, one search in all."""
+    key = np.empty(balls.size, dtype=np.complex128)
+    key.real = balls
+    key.imag = u
+    return np.subtract(shift[balls], table.searchsorted(key, side="right"), out=out)
 
 
 def _check_binomial(n: int, q: float) -> None:

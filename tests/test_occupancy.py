@@ -391,6 +391,97 @@ class TestEmpboxCount:
             tracemalloc.stop()
         assert peak < 18 * draws * balls
 
+    def test_peak_memory_per_leaf_of_a_split_draw(self):
+        # 1e6 balls into 1e7 boxes split over 9765 leaves: a few words per leaf
+        # once the leaf table is built, where throwing them took 5 MB.
+        spec, leaves = OccupancySpec(10**6, 10**7), 10**7 // occupancy._LEAF
+        rng = np.random.default_rng(13)
+        sample_empbox(spec, rng)
+        tracemalloc.start()
+        try:
+            sample_empbox(spec, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * leaves
+
+
+class TestEmpboxSplit:
+    """`sample_empbox` of many balls: the boxes split over leaves, each leaf's
+    empty boxes searched in its law's table, which the process keeps."""
+
+    @pytest.mark.parametrize("balls,boxes", [(20, 24), (20, 29), (45, 27)], ids=["no-rest", "rest", "past-table"])
+    def test_chi_square_against_pmf(self, monkeypatch, balls, boxes):
+        # Leaves of 8 boxes: 3 and no rest, 3 and a rest of 5, and 3 leaves of
+        # 15 balls on average, about a third of them past the table's 16 rows.
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        rng = np.random.default_rng([balls, boxes])
+        out = np.array([occupancy._split_empties(balls, boxes, 8, rng) for _ in range(20000)])
+        obs = np.bincount(out, minlength=boxes + 1)
+        assert _chi_square_pvalue(obs, empbox_pmf(OccupancySpec(balls, boxes))) > 0.001
+        assert len(occupancy._leaf_tables[8][1]) == 17
+
+    def test_moments_at_many_balls(self):
+        spec, draws = OccupancySpec(2 * 10**5, 10**6), 2000
+        rng = np.random.default_rng(30)
+        out = np.array([sample_empbox(spec, rng) for _ in range(draws)], dtype=float)
+        mean, var = empbox_mean(spec), empbox_variance(spec)
+        assert abs(out.mean() - mean) / math.sqrt(var / draws) < 5
+        assert abs(out.var(ddof=1) - var) / (var * math.sqrt(2 / (draws - 1))) < 5
+
+    def test_split_stream_golden(self):
+        # Frozen split draws at a fixed seed, one leaf row table or another:
+        # any change to the draws taken, their order or the leaf law shows here.
+        rng = np.random.default_rng(2024)
+        cases = [(3000, 9000), (9216, 9216), (50000, 400000), (130000, 600003)]
+        assert [sample_empbox(OccupancySpec(b, c), rng) for b, c in cases] == [6466, 3378, 352945, 483161]
+        assert int(rng.integers(2**62)) == 3595140233774268883
+
+    def test_cold_and_grown_tables_draw_alike(self, monkeypatch):
+        # A table built for a draw's rows and one of 2048 rows give the same
+        # draws: the smaller table is the start of the larger.
+        specs = [OccupancySpec(b, c) for b, c in [(3000, 9000), (50000, 400000), (130000, 600000)]]
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        cold = [[sample_empbox(spec, np.random.default_rng([k, 9])) for k in range(10)] for spec in specs]
+        table, shift = occupancy._leaf_tables[occupancy._LEAF]
+        assert len(shift) == 513
+        grown, grown_shift = occupancy._leaf_table(occupancy._LEAF, 2048)
+        assert len(grown_shift) == 2049
+        assert (grown[:table.size] == table).all() and (grown_shift[:shift.size] == shift).all()
+        assert [[sample_empbox(spec, np.random.default_rng([k, 9])) for k in range(10)] for spec in specs] == cold
+
+    def test_one_table_per_leaf_size_with_capped_rows(self, monkeypatch):
+        # The densest split sample_empbox takes, one ball per box, and leaves of
+        # 8 boxes with 40 balls each on average: no table outgrows 2 leaf rows.
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        rng = np.random.default_rng(33)
+        sample_empbox(OccupancySpec(10 * occupancy._LEAF, 10 * occupancy._LEAF), rng)
+        assert 0 <= occupancy._split_empties(1200, 240, 8, rng) <= 240
+        assert {leaf: len(shift) - 1 for leaf, (_, shift) in occupancy._leaf_tables.items()} == {
+            occupancy._LEAF: 2048, 8: 16}
+        assert occupancy._leaf_tables[occupancy._LEAF][0].nbytes < 13 * 10**6
+
+    @pytest.mark.parametrize("leaves", [2, 3, 976, 9765])
+    def test_multinomial_remaining_p_drift(self, leaves):
+        # numpy's multinomial gives leaf j the probability p / remaining_p and then
+        # takes remaining_p -= p: remaining_p stays within leaves * 2**-53 of the
+        # exact (leaves - j) / leaves, as sample_empbox's docstring states.
+        p, remaining = 1.0 / leaves, 1.0
+        for j in range(leaves - 1):
+            assert abs(Fraction(remaining) - Fraction(leaves - j, leaves)) <= Fraction(leaves, 2**53)
+            remaining -= p
+
+    def test_multinomial_leaf_counts_chi_square(self):
+        # The leaf counts, as sample_empbox draws them, summed over 50 draws of
+        # 200 balls per leaf at c = 1e6, against equal cells; and the last two
+        # leaves, whose split takes the most drifted remaining_p, half and half.
+        leaves = 976
+        rng = np.random.default_rng(34)
+        counts = np.array([rng.multinomial(200 * leaves, np.full(leaves, 1.0 / leaves)) for _ in range(50)])
+        assert scipy.stats.chisquare(counts.sum(axis=0))[1] > 0.001
+        last, pair = counts[:, -1].sum(), counts[:, -2:].sum()
+        assert abs(last - pair / 2) / math.sqrt(pair / 4) < 5
+
 
 class _FixedDoubles:
     """A generator stub whose every double is `u`."""
