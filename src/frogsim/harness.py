@@ -57,11 +57,11 @@ VERSION = f"frogsim-{__version__}"
 
 _VAR_BATCHES = 200  # batches in the moment audit's variance standard error
 # The smallest N whose replications run on workers.  Timed on `final` with split
-# EmpBox draws (2-core x86_64 VM): 300 geometric replications ran 1.5x faster on two
-# workers than on one CPU at 2**18 and 1.7x at 1e6, but 30 nongeometric ones lost at
-# 2**18 and broke even at 1e6, and runs of 2 or 8 lost 20 to 45 ms, as each worker
-# forks and builds its own EmpBox leaf table.  No N alone serves both; the large
-# runs at 1e6 keep their workers.
+# EmpBox draws (2-core x86_64 VM): 300 geometric replications ran 1.8x faster on two
+# workers than on one CPU at 2**18 and 1.3x at 1e6, but 30 nongeometric ones lost at
+# 2**18 and broke even at 1e6, and runs of 2 or 8 lost 35 to 50 ms, as each worker
+# forks and grows its own EmpBox leaf table (10 to 17 ms to 512 rows).  No N alone
+# serves both; the large runs at 1e6 keep their workers.
 _PARALLEL_MIN_N = 2**18
 
 

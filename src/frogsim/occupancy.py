@@ -10,12 +10,13 @@ Two exact samplers.  `sample_empbox`, one draw, is the chains' step.  Few
 balls it throws with ``rng.integers``, and counts the distinct boxes by sorting
 int32 keys (int64 above 2**31 boxes).  Many balls it splits over leaves of
 _LEAF boxes: one multinomial draw gives each leaf its balls, and one double
-each its empty boxes, searched in a table of the leaf's law that the process
-keeps.  `sample_empbox_batch`, many draws, inverts the law the same way: one
-``rng.random`` double per draw, in draw order, searched in the CDF row keyed
-by its own ball count, no balls thrown.  Both are exact up to float64
-rounding: the pmf is within 2e-14 relative of the rational law, and the
-doubles lie on a 2**-53 grid, as with numpy's binomial.
+each its empty boxes, read from a guide array of a table of the leaf's law
+that the process keeps, or searched in the table.  `sample_empbox_batch`,
+many draws, inverts the law the same way: one ``rng.random`` double per
+draw, in draw order, searched in the CDF row keyed by its own ball count,
+no balls thrown.  Both are exact up to float64 rounding: the pmf is within
+2e-14 relative of the rational law, and the doubles lie on a 2**-53 grid, as
+with numpy's binomial.
 
 Binomials likewise: `sample_binomial`, one draw, calls numpy's; and
 `sample_binomial_batch`, many draws of one Binomial(n, q), inverts its CDF
@@ -31,6 +32,7 @@ import numpy as np
 
 _BLOCK_DRAWS = 8192  # draws per rng.random call of the batched samplers
 _LEAF = 1024  # boxes per leaf of a split EmpBox draw (`sample_empbox`)
+_GUIDE = 256  # buckets per row of a leaf table's guide (`_leaf_draws`)
 
 
 @dataclass(frozen=True)
@@ -70,28 +72,29 @@ def miss_variance(i: int, n: int, hit: float, a: int) -> float:
     return i * q1 * (i * q1 * ratio_pow(1, y * y, a, math.expm1) - ratio_pow(1, y, a, math.expm1))
 
 
-def _distinct_pmfs(balls: np.ndarray, boxes: int):
+def _distinct_pmfs(balls: np.ndarray, boxes: int, pmf: np.ndarray | None = None, thrown: int = 0):
     """For each of the ascending ball counts `balls`, the pmf of the number of
     distinct boxes its balls hit, indexed 0..min(max balls, boxes), and a free
-    scratch vector of the same length.
+    scratch vector of the same length.  The recursion starts from `pmf`, the
+    pmf of `thrown` balls in a vector of that length, or from delta_0.
 
     From P_0 = delta_0, each ball takes P(d) to P(d) d/c + P(d - 1) (c - d + 1)/c:
     it lands in one of the d boxes already hit or in one of the c - d + 1 others
     (the classical occupancy chain, Johnson & Kotz, Urn Models, 1977).  Every
-    term is non-negative, so nothing cancels; the cost is max balls steps of
-    length min(max balls, c) + 1, whatever c is, in four vectors of that
-    length.  Each pmf yielded is the one vector that the next step updates in
-    place.
+    term is non-negative, so nothing cancels; the cost is max balls - thrown
+    steps of length min(max balls, c) + 1, whatever c is, in four vectors of
+    that length.  Each pmf yielded is the one vector that the next step
+    updates in place.
     """
     c = boxes
     width = min(int(balls[-1]), c) + 1
     hit = np.arange(width) / c
     fill = np.arange(c, c - width + 1, -1) / c
-    pmf = np.zeros(width)
-    pmf[0] = 1.0
+    if pmf is None:
+        pmf = np.zeros(width)
+        pmf[0] = 1.0
     scratch = np.empty(width)
     filled = scratch[:-1]
-    thrown = 0
     for b in balls:
         for _ in range(thrown, b):
             np.multiply(pmf[:-1], fill, out=filled)
@@ -128,16 +131,16 @@ def sample_empbox(spec: OccupancySpec, rng: np.random.Generator) -> int:
     Few balls are thrown (`_throw`).  Many balls, from 32 per leaf plus 2048
     up to one per box of the leaves, split the c boxes into L = c // _LEAF
     leaves of _LEAF boxes and a remainder (`_split_empties`), where that was
-    the cheaper: per draw on a 2-core x86_64 VM the thrower took about 5 us +
-    6.5 ns per ball and the split 15 us + 0.2 us per leaf, so (b, c) =
-    (1.3e5, 6e5) took 0.16 ms split against 0.85 ms thrown.  Given the balls
-    of each group of boxes, the groups fill independently (Johnson & Kotz,
-    Urn Models, 1977), so both are exact up to float64 rounding.  Beside the
-    leaf table's 2e-14, the split's leaf counts come from numpy's multinomial,
-    which gives leaf j the probability (1/L) / remaining_p, remaining_p being
-    1 less j terms 1/L subtracted one at a time: it stays within L 2**-53 of
-    (L - j) / L, so the probability within L**2 2**-54 relative of 1 / (L - j),
-    6e-11 at c = 1e6.
+    the cheaper: per draw on one core of a 2-core x86_64 VM the thrower took
+    about 6 us + 12 ns per ball and the split 32 us + 0.19 us per leaf, so
+    (b, c) = (1.3e5, 6e5) took 0.17 ms split against 1.15 ms thrown.  Given
+    the balls of each group of boxes, the groups fill independently (Johnson
+    & Kotz, Urn Models, 1977), so both are exact up to float64 rounding.
+    Beside the leaf table's 2e-14, the split's leaf counts come from numpy's
+    multinomial, which gives leaf j the probability (1/L) / remaining_p,
+    remaining_p being 1 less j terms 1/L subtracted one at a time: it stays
+    within L 2**-53 of (L - j) / L, so the probability within L**2 2**-54
+    relative of 1 / (L - j), 6e-11 at c = 1e6.
     """
     b, c = spec.balls, spec.boxes
     leaves = c // _LEAF
@@ -162,8 +165,8 @@ def _split_empties(b: int, c: int, leaf: int, rng: np.random.Generator) -> int:
 
     The rest gets r ~ Binomial(b, rest / c) balls, thrown.  The leaves' counts
     are one Multinomial(b - r, 1/L each), and each leaf's empty boxes are one
-    double searched in the row of its count in the leaf's table
-    (`_leaf_table`); a leaf of more than 2 leaf balls, past the table's last
+    double u, looked up in the row of its count in the leaf's table
+    (`_leaf_draws`); a leaf of more than 2 leaf balls, past the table's last
     row, throws them.  The draws, in order: the binomial (none if rest = 0),
     the rest's balls, the multinomial, L doubles, and the balls of each leaf
     past the table.  Memory is a few words per leaf beside the table.
@@ -175,49 +178,119 @@ def _split_empties(b: int, c: int, leaf: int, rng: np.random.Generator) -> int:
     u = rng.random(leaves)
     for j in np.flatnonzero(counts > 2 * leaf).tolist():
         empty += _throw(int(counts[j]), leaf, rng) - leaf
-        counts[j] = 0  # searched as an empty leaf: leaf empty boxes
-    table, shift = _leaf_table(leaf, int(counts.max()))
-    return empty + int(_invert(table, shift, counts, u).sum())
+        counts[j] = 0  # looked up as an empty leaf: leaf empty boxes
+    return empty + int(_leaf_draws(leaf, counts, u).sum())
 
 
-_leaf_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # leaf boxes -> its `_cdf_table`
+def _leaf_draws(leaf: int, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The draw of each leaf of counts[j] <= 2 leaf balls and double u[j], as
+    int16: its entry in the guide of the leaf's table (Chen & Asau 1974;
+    Devroye 1986, III.2.4), row counts[j] and bucket floor(u[j] _GUIDE), which
+    holds the draw for every u in that bucket; or, where the bucket holds -1
+    since a CDF entry lies strictly inside it, `_invert`'s search of the table.
+    About 93% of the leaves of the split draws at c = 1e6 take the one lookup."""
+    cached = _leaf_table(leaf, int(counts.max()))
+    draws = cached.guide[counts, (u * _GUIDE).astype(np.intp)]
+    inside = np.flatnonzero(draws < 0)
+    draws[inside] = _invert(*cached, counts[inside], u[inside])
+    return draws
 
 
-def _leaf_table(leaf: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_cdf_table` of 0, 1, ... balls into `leaf` boxes, with a row for `rows`
-    balls, at most 2 leaf.  One table per leaf size lives for the process; it
-    is rebuilt, with the least power of two (at least 64) rows that holds
-    `rows`, only when a draw needs more.  Row k does not depend on the rows
-    after it, so a draw is the same from any table that holds its row: at
-    2048 rows of 1024 boxes it took 12.6 MB and 51 ms to build.
+class _LeafTable(tuple):
+    """A leaf's `_cdf_table`, (table, shift), with the guide of its rows
+    (`_guide_rows`) and the pmf of its last row, from which it grows."""
+
+    def __new__(cls, table: np.ndarray, shift: np.ndarray, guide: np.ndarray, pmf: np.ndarray):
+        self = super().__new__(cls, (table, shift))
+        self.guide, self.pmf = guide, pmf
+        return self
+
+
+_leaf_tables: dict[int, _LeafTable] = {}  # leaf boxes -> its table
+
+
+def _leaf_table(leaf: int, rows: int) -> _LeafTable:
+    """The `_LeafTable` of 0, 1, ... balls into `leaf` boxes, with a row for
+    `rows` balls, at most 2 leaf.  One table per leaf size lives for the
+    process.  When a draw needs more rows, it grows to the least power of two
+    (at least 64) rows that holds `rows`: a new table of the old one's rows
+    and guide, and the recursion carried on from its last row's pmf for the
+    new ball counts alone.  Row k does not depend on the rows after it, so the
+    grown table equals one built at once, and a draw is the same from any
+    table that holds its row.  At 2048 rows of 1024 boxes the table, its shift
+    and its guide take 13.6 MB; on a 2-core x86_64 VM a build at once took
+    about 70 ms, and growing from 64 to 512 rows, as `final` runs at N = 1e6
+    do, 17 ms.
     """
     cached = _leaf_tables.get(leaf)
     if cached is None or cached[1].size <= rows:
         size = min(2 * leaf, max(64, 1 << (rows - 1).bit_length()))
-        cached = _leaf_tables[leaf] = _cdf_table(np.arange(size + 1), leaf)
+        pmf, guide = np.zeros(min(size, leaf) + 1), np.empty((size + 1, _GUIDE), dtype=np.int16)
+        if cached is None:
+            pmf[0] = 1.0
+        else:
+            pmf[:cached.pmf.size], guide[:cached[1].size] = cached.pmf, cached.guide
+        counts = np.arange(0 if cached is None else cached[1].size, size + 1)
+        table, shift = _cdf_table(counts, leaf, pmf, cached)
+        _guide_rows(table, shift, counts, guide)
+        cached = _leaf_tables[leaf] = _LeafTable(table, shift, guide, pmf)
     return cached
 
 
-def _cdf_table(counts: np.ndarray, boxes: int) -> tuple[np.ndarray, np.ndarray]:
+def _guide_rows(table: np.ndarray, shift: np.ndarray, counts: np.ndarray, guide: np.ndarray) -> None:
+    """guide[b] for the consecutive ball counts b in `counts`, rows of the
+    `_cdf_table` (table, shift): bucket g of _GUIDE buckets of [0, 1) holds
+    shift[b] less the position of b + i g / _GUIDE, the draw of every u in the
+    bucket, or -1 where an entry lies strictly inside it.  _GUIDE is a power
+    of two, so u _GUIDE and g / _GUIDE are exact.  The positions are counted
+    in blocks of 32 rows, not searched: entry b + i e of a block from row b0
+    goes to slot (b - b0) (_GUIDE + 1) + ceil(e _GUIDE), so the entries below
+    b + i g / _GUIDE are those of the slots up to (b - b0) (_GUIDE + 1) + g.
+    """
+    bounds = table.searchsorted(np.append(counts, counts[-1] + 1).astype(np.complex128))
+    for j in range(0, counts.size, 32):
+        rows, block = counts[j:j + 32], table[bounds[j]:bounds[min(j + 32, counts.size)]]
+        t, b = block.imag * _GUIDE, block.real - rows[0]
+        at = np.bincount((b * (_GUIDE + 1) + np.ceil(t)).astype(np.intp), minlength=rows.size * (_GUIDE + 1))
+        out = guide[rows[0]:rows[-1] + 1]
+        np.subtract(shift[rows, None] - bounds[j], at.cumsum().reshape(-1, _GUIDE + 1)[:, :_GUIDE], out=out)
+        inside = np.flatnonzero(np.floor(t) != t)
+        out.reshape(-1)[(b[inside] * _GUIDE + np.floor(t[inside])).astype(np.intp)] = -1
+
+
+def _cdf_table(counts: np.ndarray, boxes: int, pmf=None, prefix=None) -> tuple[np.ndarray, np.ndarray]:
     """The CDFs of the distinct boxes hit at the ascending ball counts `counts`,
     each divided by its last entry, as (table, shift): the entries strictly
     between 0 and 1 of the row of b balls, as complex numbers b + i CDF, and
     shift[b], boxes plus the position of that row in the table less its number
     of entries equal to 0.  shift is indexed by ball count, up to counts[-1],
-    and allocated once the recursion's vectors are free."""
-    parts, starts, start = [], [], 0
-    for pmf, cdf in _distinct_pmfs(counts, boxes):
-        np.cumsum(pmf, out=cdf)
+    and allocated once the recursion is done.
+
+    Built in place: each row goes into the table as the recursion gives it,
+    and the table grows by an eighth at a time with ``ndarray.resize``, which
+    reallocates it rather than copying it beside a second one, so the peak is
+    the table, at most an eighth more, and one row's scratch.  To extend a
+    table, `prefix` is its (table, shift), of the counts below counts[0], and
+    `pmf` its last row's pmf, which the recursion carries on to counts[-1].
+    """
+    table, shift = prefix or (np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.int64))
+    thrown = shift.size - 1 if prefix else 0
+    table, start, starts = table.copy(), table.size, []
+    for b, (pmf, cdf) in zip(counts.tolist(), _distinct_pmfs(counts, boxes, pmf, thrown)):
+        pmf.cumsum(out=cdf)
         cdf /= cdf[-1]
-        lo, hi = np.searchsorted(cdf, 0.0, side="right"), np.searchsorted(cdf, 1.0)
-        parts.append(cdf[lo:hi].copy())
+        lo, hi = cdf.searchsorted(0.0, side="right"), cdf.searchsorted(1.0)
+        end = start + hi - lo
+        if end > table.size:  # no view of the table outlives a statement, so none sees it move
+            table.resize(max(end, table.size + table.size // 8 + 1024), refcheck=False)
+        table.real[start:end] = b
+        table.imag[start:end] = cdf[lo:hi]
         starts.append(boxes + start - lo)
-        start += hi - lo
-    shift = np.empty(int(counts[-1]) + 1, dtype=np.int64)
+        start = end
+    table.resize(start, refcheck=False)
+    old, shift = shift, np.empty(int(counts[-1]) + 1, dtype=np.int64)
+    shift[:old.size] = old
     shift[counts] = starts
-    table = np.empty(start, dtype=np.complex128)
-    table.real = np.repeat(counts, [part.size for part in parts])
-    table.imag = np.concatenate(parts)
     return table, shift
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -460,6 +462,90 @@ class TestEmpboxSplit:
         assert {leaf: len(shift) - 1 for leaf, (_, shift) in occupancy._leaf_tables.items()} == {
             occupancy._LEAF: 2048, 8: 16}
         assert occupancy._leaf_tables[occupancy._LEAF][0].nbytes < 13 * 10**6
+
+    @pytest.mark.parametrize("leaf,rows", [(occupancy._LEAF, 2 * occupancy._LEAF), (8, 16)])
+    def test_guided_draws_equal_the_search_at_every_bucket_edge(self, monkeypatch, leaf, rows):
+        # Every row and every bucket g of the guide, at u = 0, g / G and the
+        # doubles either side of g / G: the guided draw is _invert's, and both
+        # the lookup and the fallback search are taken.
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        buckets = occupancy._GUIDE
+        edges = np.arange(buckets) / buckets
+        doubles = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0)])
+        built = occupancy._leaf_table(leaf, rows)
+        table, shift = occupancy._leaf_tables[leaf]
+        assert len(shift) == rows + 1
+        looked_up = 0
+        for first in range(0, rows + 1, 256):
+            counts = np.repeat(np.arange(first, min(first + 256, rows + 1)), doubles.size)
+            u = np.tile(doubles, counts.size // doubles.size)
+            guided = occupancy._leaf_draws(leaf, counts, u)
+            assert (guided == occupancy._invert(table, shift, counts, u)).all()
+            looked_up += np.count_nonzero(built.guide[counts, (u * buckets).astype(np.intp)] >= 0)
+        assert 0 < looked_up < (rows + 1) * doubles.size
+
+    def test_grown_table_equals_one_built_at_once(self, monkeypatch):
+        # Grown 64 -> 128 -> ... -> 2048 rows from each table's last row, and
+        # built at once: the same table, shift and guide.
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        once = occupancy._leaf_table(occupancy._LEAF, 2048)
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        sizes = []
+        for rows in (64, 128, 256, 512, 1024, 2048):
+            grown = occupancy._leaf_table(occupancy._LEAF, rows)
+            sizes.append(len(grown[1]) - 1)
+        assert sizes == [64, 128, 256, 512, 1024, 2048]
+        for a, b in zip((*grown, grown.guide), (*once, once.guide)):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+
+    def test_threads_growing_one_table_draw_as_a_table_built_alone(self, monkeypatch):
+        # Four threads drop and regrow the one leaf table while they draw, with
+        # a short switch interval: every guided draw still equals the search
+        # of a table built alone, so no thread reads a table without its guide
+        # or a table that another one is growing.
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        table, shift = occupancy._leaf_table(occupancy._LEAF, 512)
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(4):
+                    occupancy._leaf_tables.pop(occupancy._LEAF, None)
+                    for rows in (40, 100, 200, 512):
+                        counts, u = rng.integers(0, rows + 1, 300), rng.random(300)
+                        draws = occupancy._leaf_draws(occupancy._LEAF, counts, u)
+                        if not (draws == occupancy._invert(table, shift, counts, u)).all():
+                            errors.append((seed, rows))
+            except Exception as error:  # recorded for the main thread's assert
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_peak_memory_of_the_leaf_table_build(self, monkeypatch):
+        # The 2048-row table is built in place: its peak is the table, its
+        # shift and its guide, and a little scratch, not twice the table.
+        monkeypatch.setattr(occupancy, "_leaf_tables", {})
+        tracemalloc.start()
+        try:
+            built = occupancy._leaf_table(occupancy._LEAF, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table, shift = built
+        assert peak < 1.25 * (table.nbytes + shift.nbytes + built.guide.nbytes)
 
     @pytest.mark.parametrize("leaves", [2, 3, 976, 9765])
     def test_multinomial_remaining_p_drift(self, leaves):
